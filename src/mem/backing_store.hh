@@ -6,8 +6,10 @@
 // share one BackingStore for the same physical range.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <unordered_map>
 
@@ -20,16 +22,32 @@ public:
     static constexpr unsigned kPageShift = 12;
     static constexpr Addr kPageSize = Addr{1} << kPageShift;
 
+    /// Copy @p size bytes in, one page-bounded memcpy per page touched
+    /// (allocating pages on first touch).
     void write(Addr addr, const std::uint8_t* src, unsigned size) {
-        for (unsigned i = 0; i < size; ++i) {
-            page(addr + i)[offsetOf(addr + i)] = src[i];
+        while (size > 0) {
+            const unsigned chunk = chunkAt(addr, size);
+            std::memcpy(page(addr).data() + offsetOf(addr), src, chunk);
+            addr += chunk;
+            src += chunk;
+            size -= chunk;
         }
     }
 
+    /// Copy @p size bytes out; untouched pages read as zeros and stay
+    /// unallocated.
     void read(Addr addr, std::uint8_t* dst, unsigned size) const {
-        for (unsigned i = 0; i < size; ++i) {
-            const auto it = pages_.find(pageOf(addr + i));
-            dst[i] = (it == pages_.end()) ? 0 : (*it->second)[offsetOf(addr + i)];
+        while (size > 0) {
+            const unsigned chunk = chunkAt(addr, size);
+            const auto it = pages_.find(pageOf(addr));
+            if (it == pages_.end()) {
+                std::memset(dst, 0, chunk);
+            } else {
+                std::memcpy(dst, it->second->data() + offsetOf(addr), chunk);
+            }
+            addr += chunk;
+            dst += chunk;
+            size -= chunk;
         }
     }
 
@@ -62,6 +80,10 @@ private:
 
     static Addr pageOf(Addr a) { return a >> kPageShift; }
     static Addr offsetOf(Addr a) { return a & (kPageSize - 1); }
+    /// Bytes of a @p size-byte access at @p addr that fall in addr's page.
+    static unsigned chunkAt(Addr addr, unsigned size) {
+        return static_cast<unsigned>(std::min<Addr>(size, kPageSize - offsetOf(addr)));
+    }
 
     Page& page(Addr addr) {
         auto& slot = pages_[pageOf(addr)];

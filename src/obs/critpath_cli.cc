@@ -15,11 +15,6 @@ namespace g5r::obs {
 
 namespace {
 
-/// Blame precedence, mirrored from the computeBlame sweep (reqtrace.cc):
-/// dmaStage > drain > spmFill > dramService > xbarQueue > hostLoad >
-/// rtlCompute.
-constexpr std::array<int, kNumReqStages> kStageRank = {1, 6, 4, 2, 3, 0, 5};
-
 std::string formatLine(const char* fmt, ...) {
     char buf[256];
     va_list ap;
@@ -27,51 +22,6 @@ std::string formatLine(const char* fmt, ...) {
     std::vsnprintf(buf, sizeof(buf), fmt, ap);
     va_end(ap);
     return buf;
-}
-
-/// parent -> child slot adjacency + root slots, as computeBlame builds them.
-struct Tree {
-    std::vector<std::vector<std::size_t>> children;
-    std::vector<std::size_t> roots;
-};
-
-Tree buildTree(const std::vector<ReqRecord>& records) {
-    Tree tree;
-    tree.children.resize(records.size());
-    std::vector<std::size_t> slotOf;
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        const ReqId id = records[i].id;
-        if (id >= slotOf.size()) slotOf.resize(id + 1, 0);
-        slotOf[id] = i + 1;
-    }
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        const ReqId parent = records[i].parent;
-        if (parent != 0 && parent < slotOf.size() && slotOf[parent] != 0) {
-            tree.children[slotOf[parent] - 1].push_back(i);
-        } else {
-            tree.roots.push_back(i);
-        }
-    }
-    return tree;
-}
-
-/// All spans of @p rootSlot's subtree, clamped to [begin, end).
-std::vector<ReqSpan> subtreeSpans(const std::vector<ReqRecord>& records,
-                                  const Tree& tree, std::size_t rootSlot, Tick begin,
-                                  Tick end) {
-    std::vector<ReqSpan> spans;
-    std::vector<std::size_t> stack{rootSlot};
-    while (!stack.empty()) {
-        const std::size_t idx = stack.back();
-        stack.pop_back();
-        for (const ReqSpan& span : records[idx].spans) {
-            const Tick b = std::max(span.begin, begin);
-            const Tick e = std::min(span.end, end);
-            if (e > b) spans.push_back(ReqSpan{span.stage, b, e});
-        }
-        for (const std::size_t child : tree.children[idx]) stack.push_back(child);
-    }
-    return spans;
 }
 
 }  // namespace
@@ -141,11 +91,10 @@ std::string renderBlameTable(const BlameSummary& blame) {
 std::string renderWaterfall(const std::vector<ReqRecord>& records,
                             const BlameSummary& blame, std::size_t maxRequests,
                             std::size_t width) {
-    const Tree tree = buildTree(records);
+    const ReqTree tree = buildReqTree(records);
     if (width == 0) width = 64;
 
-    // blame.roots and tree.roots come from the same traversal over the same
-    // record order, so they line up index-for-index.
+    // computeBlame reports one entry per tree root, in tree.roots order.
     std::string out;
     out += "per-request waterfall (one column = 1/" + std::to_string(width) +
            " of the request's window; legend: h=hostLoad d=dmaStage f=spmFill "
@@ -156,8 +105,7 @@ std::string renderWaterfall(const std::vector<ReqRecord>& records,
         const RequestBlame& root = blame.roots[r];
         std::string strip(width, '.');
         if (root.total() > 0) {
-            const auto spans =
-                subtreeSpans(records, tree, tree.roots[r], root.begin, root.end);
+            const std::vector<std::size_t> subtree = tree.subtree(tree.roots[r]);
             const double ticksPerCol =
                 static_cast<double>(root.total()) / static_cast<double>(width);
             for (std::size_t c = 0; c < width; ++c) {
@@ -165,8 +113,9 @@ std::string renderWaterfall(const std::vector<ReqRecord>& records,
                                  static_cast<Tick>((static_cast<double>(c) + 0.5) *
                                                    ticksPerCol);
                 int best = -1;
-                for (const ReqSpan& span : spans) {
-                    if (span.begin <= mid && mid < span.end) {
+                for (const std::size_t idx : subtree) {
+                    for (const ReqSpan& span : records[idx].spans) {
+                        if (span.begin > mid || mid >= span.end) continue;
                         const auto s = static_cast<unsigned>(span.stage);
                         if (best < 0 ||
                             kStageRank[s] > kStageRank[static_cast<unsigned>(best)]) {

@@ -109,128 +109,172 @@ void ReqTraceSession::finish(Tick finalTick) {
 
 // --------------------------------------------------------------- analysis --
 
-namespace {
-
-/// Blame precedence: higher rank wins where spans overlap. Ownership first:
-/// a tick inside a DMA descriptor's lifetime is staging (or drain) work no
-/// matter which downstream queue the bytes sit in, and an RTL read stalled
-/// on an SPM miss is an spmFill tick even while the fill occupies DRAM.
-/// Below those owners the deepest shared memory resource wins (dramService
-/// over xbarQueue), then the catch-all host/compute windows.
-constexpr std::array<int, kNumReqStages> kStageRank = {
-    /* hostLoad    */ 1,
-    /* dmaStage    */ 6,
-    /* spmFill     */ 4,
-    /* xbarQueue   */ 2,
-    /* dramService */ 3,
-    /* rtlCompute  */ 0,
-    /* drain       */ 5,
-};
-
-struct SweepEvent {
-    Tick tick;
-    unsigned stage;
-    int delta;  ///< +1 span opens, -1 span closes.
-};
-
-}  // namespace
-
-BlameSummary computeBlame(const std::vector<ReqRecord>& records) {
-    BlameSummary summary;
-
-    // parent -> child record indices. Record IDs can be sparse from the
-    // session's point of view, so index by position.
-    std::vector<std::vector<std::size_t>> children(records.size());
+ReqTree buildReqTree(const std::vector<ReqRecord>& records) {
+    ReqTree tree;
+    tree.children.resize(records.size());
     std::vector<std::size_t> slotOf;  // id -> index + 1
     for (std::size_t i = 0; i < records.size(); ++i) {
         const ReqId id = records[i].id;
         if (id >= slotOf.size()) slotOf.resize(id + 1, 0);
         slotOf[id] = i + 1;
     }
-    std::vector<std::size_t> roots;
     for (std::size_t i = 0; i < records.size(); ++i) {
         const ReqId parent = records[i].parent;
         if (parent != 0 && parent < slotOf.size() && slotOf[parent] != 0) {
-            children[slotOf[parent] - 1].push_back(i);
+            tree.children[slotOf[parent] - 1].push_back(i);
         } else {
-            roots.push_back(i);
+            tree.roots.push_back(i);
         }
     }
+    return tree;
+}
 
-    for (const std::size_t rootIdx : roots) {
+std::vector<std::size_t> ReqTree::subtree(std::size_t root) const {
+    std::vector<std::size_t> slots{root};
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+        for (const std::size_t child : children[slots[i]]) slots.push_back(child);
+    }
+    return slots;
+}
+
+namespace {
+
+/// A set of ticks as disjoint, begin-ordered [first, second) intervals.
+using Intervals = std::vector<std::pair<Tick, Tick>>;
+using IntervalIt = Intervals::const_iterator;
+
+/// Add [b, e) to @p out, whose entries from @p from on are disjoint and
+/// begin-ordered with no begin past @p b.
+void extend(Intervals& out, std::size_t from, Tick b, Tick e) {
+    if (out.size() > from && b <= out.back().second) {
+        out.back().second = std::max(out.back().second, e);
+    } else {
+        out.emplace_back(b, e);
+    }
+}
+
+/// Append the union of two interval sets to @p out.
+void unite(IntervalIt a, IntervalIt aEnd, IntervalIt b, IntervalIt bEnd, Intervals& out) {
+    const std::size_t from = out.size();
+    while (a != aEnd || b != bEnd) {
+        const auto& next = (b == bEnd || (a != aEnd && a->first <= b->first)) ? *a++ : *b++;
+        extend(out, from, next.first, next.second);
+    }
+}
+
+/// Fold the interval sets packed in @p set (set r starts at starts[r]) into
+/// one, uniting neighbours pairwise: log2(sets) linear passes.
+void uniteRuns(Intervals& set, std::vector<std::size_t>& starts, Intervals& scratch,
+               std::vector<std::size_t>& scratchStarts) {
+    while (starts.size() > 1) {
+        scratch.clear();
+        scratchStarts.clear();
+        const auto at = [&](std::size_t r) {
+            return set.cbegin() + static_cast<std::ptrdiff_t>(
+                                      r < starts.size() ? starts[r] : set.size());
+        };
+        for (std::size_t r = 0; r < starts.size(); r += 2) {
+            scratchStarts.push_back(scratch.size());
+            unite(at(r), at(r + 1), at(r + 1), at(r + 2), scratch);
+        }
+        set.swap(scratch);
+        starts.swap(scratchStarts);
+    }
+}
+
+Tick measure(const Intervals& set) {
+    Tick sum = 0;
+    for (const auto& [b, e] : set) sum += e - b;
+    return sum;
+}
+
+}  // namespace
+
+BlameSummary computeBlame(const std::vector<ReqRecord>& records) {
+    BlameSummary summary;
+    const ReqTree tree = buildReqTree(records);
+
+    std::array<unsigned, kNumReqStages> byRank{};
+    for (unsigned s = 0; s < kNumReqStages; ++s) byRank[s] = s;
+    std::sort(byRank.begin(), byRank.end(),
+              [](unsigned a, unsigned b) { return kStageRank[a] > kStageRank[b]; });
+
+    // Scratch reused across roots: per stage, the subtree's interval sets
+    // (one per record) packed end to end, then their union.
+    std::array<Intervals, kNumReqStages> unions;
+    std::array<std::vector<std::size_t>, kNumReqStages> starts;
+    Intervals scratch;
+    Intervals covered;
+    std::vector<std::size_t> scratchStarts;
+    std::vector<ReqSpan> sorted;
+    const auto byBegin = [](const ReqSpan& a, const ReqSpan& b) { return a.begin < b.begin; };
+
+    for (const std::size_t rootIdx : tree.roots) {
         const ReqRecord& root = records[rootIdx];
         RequestBlame blame;
         blame.id = root.id;
         blame.kind = root.kind;
         blame.begin = root.beginTick;
 
-        // Collect the subtree's spans and the effective end: the explicit
-        // end if every piece of work finished before it, else the last
-        // subtree activity (a run cut short mid-request still attributes
-        // the ticks it simulated).
-        std::vector<SweepEvent> events;
+        // The effective end: the explicit end if every piece of work
+        // finished before it, else the last subtree activity (a run cut
+        // short mid-request still attributes the ticks it simulated).
+        const std::vector<std::size_t> subtree = tree.subtree(rootIdx);
         Tick effectiveEnd = root.ended ? root.endTick : root.beginTick;
-        std::vector<std::size_t> stack{rootIdx};
-        while (!stack.empty()) {
-            const std::size_t idx = stack.back();
-            stack.pop_back();
+        for (const std::size_t idx : subtree) {
             const ReqRecord& rec = records[idx];
             if (rec.ended && rec.endTick > effectiveEnd) effectiveEnd = rec.endTick;
             for (const ReqSpan& span : rec.spans) {
                 if (span.end > effectiveEnd) effectiveEnd = span.end;
             }
-            for (const std::size_t child : children[idx]) stack.push_back(child);
-        }
-        stack.push_back(rootIdx);
-        while (!stack.empty()) {
-            const std::size_t idx = stack.back();
-            stack.pop_back();
-            for (const ReqSpan& span : records[idx].spans) {
-                const Tick b = std::max(span.begin, blame.begin);
-                const Tick e = std::min(span.end, effectiveEnd);
-                if (e <= b) continue;
-                const auto stage = static_cast<unsigned>(span.stage);
-                events.push_back(SweepEvent{b, stage, +1});
-                events.push_back(SweepEvent{e, stage, -1});
-            }
-            for (const std::size_t child : children[idx]) stack.push_back(child);
         }
         blame.end = effectiveEnd;
 
-        // Sweep line over [begin, effectiveEnd]: within each elementary
-        // interval the highest-ranked open stage takes the blame; with no
-        // open span the ticks are unattributed.
-        std::sort(events.begin(), events.end(), [](const SweepEvent& a, const SweepEvent& b) {
-            return a.tick < b.tick;
-        });
-        std::array<int, kNumReqStages> open{};
-        Tick cursor = blame.begin;
-        std::size_t i = 0;
-        auto accumulate = [&](Tick upTo) {
-            if (upTo <= cursor) return;
-            int best = -1;
+        // Each record's spans, clipped to [begin, effectiveEnd], become one
+        // interval set per stage in a single begin-ordered pass.
+        for (unsigned s = 0; s < kNumReqStages; ++s) {
+            unions[s].clear();
+            starts[s].clear();
+        }
+        for (const std::size_t idx : subtree) {
+            const std::vector<ReqSpan>* spans = &records[idx].spans;
+            if (!std::is_sorted(spans->begin(), spans->end(), byBegin)) {
+                sorted = *spans;
+                std::sort(sorted.begin(), sorted.end(), byBegin);
+                spans = &sorted;
+            }
+            std::array<std::size_t, kNumReqStages> from{};
+            for (unsigned s = 0; s < kNumReqStages; ++s) from[s] = unions[s].size();
+            for (const ReqSpan& span : *spans) {
+                const Tick b = std::max(span.begin, blame.begin);
+                const Tick e = std::min(span.end, effectiveEnd);
+                if (e <= b) continue;
+                const auto s = static_cast<unsigned>(span.stage);
+                extend(unions[s], from[s], b, e);
+            }
             for (unsigned s = 0; s < kNumReqStages; ++s) {
-                if (open[s] > 0 && (best < 0 || kStageRank[s] > kStageRank[best])) {
-                    best = static_cast<int>(s);
-                }
-            }
-            const Tick len = upTo - cursor;
-            if (best >= 0) {
-                blame.stageTicks[static_cast<std::size_t>(best)] += len;
-            } else {
-                blame.unattributed += len;
-            }
-            cursor = upTo;
-        };
-        while (i < events.size()) {
-            accumulate(std::min(events[i].tick, effectiveEnd));
-            const Tick t = events[i].tick;
-            while (i < events.size() && events[i].tick == t) {
-                open[events[i].stage] += events[i].delta;
-                ++i;
+                if (unions[s].size() > from[s]) starts[s].push_back(from[s]);
             }
         }
-        accumulate(effectiveEnd);
+
+        // Highest rank first: each stage takes the ticks of its union that
+        // no higher-ranked stage already covers — the per-tick precedence
+        // rule, summed. Whatever no stage covers is unattributed.
+        covered.clear();
+        Tick coveredTicks = 0;
+        for (const unsigned s : byRank) {
+            uniteRuns(unions[s], starts[s], scratch, scratchStarts);
+            scratch.clear();
+            unite(covered.cbegin(), covered.cend(), unions[s].cbegin(), unions[s].cend(),
+                  scratch);
+            covered.swap(scratch);
+            const Tick ticks = measure(covered);
+            blame.stageTicks[s] = ticks - coveredTicks;
+            coveredTicks = ticks;
+        }
+        if (effectiveEnd > blame.begin) {
+            blame.unattributed = (effectiveEnd - blame.begin) - coveredTicks;
+        }
 
         for (unsigned s = 0; s < kNumReqStages; ++s) summary.stageTicks[s] += blame.stageTicks[s];
         summary.unattributed += blame.unattributed;

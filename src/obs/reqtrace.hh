@@ -28,13 +28,14 @@
 // The critical-path analysis (computeBlame) attributes every tick of a root
 // request's [begin, effectiveEnd] window to exactly one stage: overlapping
 // spans across the root's subtree are resolved by a fixed precedence
-// (dmaStage > drain > spmFill > dramService > xbarQueue > hostLoad >
-// rtlCompute — work owner first, then deepest shared memory resource), and
-// uncovered ticks land in an "unattributed" bucket, so per-stage shares sum
-// to exactly 100% of end-to-end ticks by construction.
+// (kStageRank: dmaStage > drain > spmFill > dramService > xbarQueue >
+// hostLoad > rtlCompute — work owner first, then deepest shared memory
+// resource), and uncovered ticks land in an "unattributed" bucket, so
+// per-stage shares sum to exactly 100% of end-to-end ticks by construction.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <string>
@@ -107,6 +108,35 @@ private:
 
 // --------------------------------------------------------------- analysis --
 
+/// Blame precedence, indexed by ReqStage: the higher rank wins where spans
+/// overlap. Ownership first: a tick inside a DMA descriptor's lifetime is
+/// staging (or drain) work no matter which downstream queue the bytes sit
+/// in, and an RTL read stalled on an SPM miss is an spmFill tick even while
+/// the fill occupies DRAM. Below those owners the deepest shared memory
+/// resource wins (dramService over xbarQueue), then the catch-all
+/// host/compute windows.
+inline constexpr std::array<int, kNumReqStages> kStageRank = {
+    /* hostLoad    */ 1,
+    /* dmaStage    */ 6,
+    /* spmFill     */ 4,
+    /* xbarQueue   */ 2,
+    /* dramService */ 3,
+    /* rtlCompute  */ 0,
+    /* drain       */ 5,
+};
+
+/// The request forest of a record list, by record position (IDs may be
+/// sparse). A record whose parent is 0 or not in the list is a root.
+struct ReqTree {
+    std::vector<std::vector<std::size_t>> children;  ///< Slot -> child slots.
+    std::vector<std::size_t> roots;                  ///< Root slots, in record order.
+
+    /// The slots of @p root's subtree, root first.
+    std::vector<std::size_t> subtree(std::size_t root) const;
+};
+
+ReqTree buildReqTree(const std::vector<ReqRecord>& records);
+
 /// Stage attribution of one root request's end-to-end window.
 struct RequestBlame {
     ReqId id = 0;
@@ -127,9 +157,10 @@ struct BlameSummary {
     Tick totalTicks = 0;  ///< Sum of root end-to-end windows.
 };
 
-/// Attribute every root's window to stages (see header comment for the
-/// precedence rule). Invariant: for each root, sum(stageTicks) +
-/// unattributed == total(); the aggregate inherits it.
+/// Attribute every root's window to stages under kStageRank, one entry per
+/// buildReqTree root in the same order. Invariant: for each root,
+/// sum(stageTicks) + unattributed == total(); the aggregate inherits it.
+/// Records need not be canonical (finish()-sorted); the result is the same.
 BlameSummary computeBlame(const std::vector<ReqRecord>& records);
 
 // ---------------------------------------------------------------- reading --

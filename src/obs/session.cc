@@ -269,7 +269,8 @@ void ObsSession::dispatchBegin(const Event& ev, Tick when) {
     curTick_ = when;
     // Request tracing alone needs none of the dispatch machinery: spans
     // arrive through the component-driven request hooks with their own
-    // ticks. Skipping resolve() here is what makes always-on tracing cheap.
+    // ticks. Skipping resolve() here keeps per-event dispatch cheap; the
+    // trace's measured cost is noted in runNvdlaDse (soc/experiments.cc).
     if (reqtraceOnly_) return;
     const Owner& owner = resolve(ev);
     curSlot_ = owner.slot;

@@ -134,7 +134,10 @@ DseRunResult runNvdlaDse(const DseRunConfig& config) {
     // Stage blame is part of every DSE result, so request tracing is always
     // on — in-memory ("-": no sidecar) unless the caller already configured
     // it or the GEM5RTL_REQTRACE overlay (applied inside Soc) speaks for
-    // itself. The reqtrace-only fast path keeps this inside the <2% budget.
+    // itself. It is not free: `perfbench/run.py --workload fig7_dse --trace 1`
+    // puts it at 6-25% of job time (median 11%, 3 runs on a 4-vCPU host);
+    // result collection, computeBlame included, takes about 285 ms of a
+    // 44-point job (EXPERIMENTS.md, host time per workload).
     if (!socCfg.obs.reqtraceEnabled && std::getenv("GEM5RTL_REQTRACE") == nullptr) {
         socCfg.obs.reqtraceEnabled = true;
         socCfg.obs.reqtracePath = "-";

@@ -1,13 +1,18 @@
 // Request-level causal tracing: sidecar format round-trip, the
-// sums-to-100% blame invariant, overlap precedence, in-memory mode, the
+// sums-to-100% blame invariant, overlap precedence, in-memory mode,
+// computeBlame against a per-tick oracle on random span forests, the
 // g5r-critpath CLI, and the ObsOptions environment overlay (including the
 // combined multi-variable precedence case).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <random>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "exp/json.hh"
 #include "obs/critpath_cli.hh"
@@ -180,6 +185,182 @@ TEST(ReqTrace, NeverEndedRootUsesLastSpan) {
     EXPECT_FALSE(session.data()[0].ended);
     EXPECT_EQ(blame.roots[0].end, 600u);
     EXPECT_EQ(blame.totalTicks, 500u);
+}
+
+/// Reference blame: every tick of each root's window goes to the
+/// highest-ranked subtree span covering it. Subtrees come from walking
+/// parent links upward, independently of buildReqTree.
+BlameSummary perTickBlame(const std::vector<ReqRecord>& records) {
+    std::map<ReqId, std::size_t> slotOf;
+    for (std::size_t i = 0; i < records.size(); ++i) slotOf[records[i].id] = i;
+    const auto rootOf = [&](std::size_t i) {
+        for (;;) {
+            const auto it = slotOf.find(records[i].parent);
+            if (records[i].parent == 0 || it == slotOf.end()) return i;
+            i = it->second;
+        }
+    };
+
+    BlameSummary summary;
+    for (std::size_t r = 0; r < records.size(); ++r) {
+        if (rootOf(r) != r) continue;
+        std::vector<const ReqRecord*> members;
+        for (std::size_t i = 0; i < records.size(); ++i) {
+            if (rootOf(i) == r) members.push_back(&records[i]);
+        }
+        const ReqRecord& root = records[r];
+        RequestBlame blame;
+        blame.id = root.id;
+        blame.kind = root.kind;
+        blame.begin = root.beginTick;
+        blame.end = root.ended ? root.endTick : root.beginTick;
+        for (const ReqRecord* m : members) {
+            if (m->ended) blame.end = std::max(blame.end, m->endTick);
+            for (const ReqSpan& span : m->spans) blame.end = std::max(blame.end, span.end);
+        }
+        for (Tick t = blame.begin; t < blame.end; ++t) {
+            int best = -1;
+            for (const ReqRecord* m : members) {
+                for (const ReqSpan& span : m->spans) {
+                    const auto s = static_cast<int>(span.stage);
+                    if (span.begin <= t && t < span.end &&
+                        (best < 0 || kStageRank[s] > kStageRank[best])) {
+                        best = s;
+                    }
+                }
+            }
+            if (best < 0) {
+                ++blame.unattributed;
+            } else {
+                ++blame.stageTicks[static_cast<std::size_t>(best)];
+            }
+        }
+        for (unsigned s = 0; s < kNumReqStages; ++s) summary.stageTicks[s] += blame.stageTicks[s];
+        summary.unattributed += blame.unattributed;
+        summary.totalTicks += blame.total();
+        summary.roots.push_back(blame);
+    }
+    return summary;
+}
+
+/// A seeded random span forest, in shuffled record and span order. Sparse
+/// IDs; roots are parentless or orphaned (parent ID absent); the first
+/// three records always form a chain, so trees run at least three deep.
+/// Spans overlap and nest within and across stages, start before their
+/// root, and some records never end.
+std::vector<ReqRecord> randomForest(std::mt19937_64& rng) {
+    const auto uniform = [&rng](std::uint64_t lo, std::uint64_t hi) {
+        return std::uniform_int_distribution<std::uint64_t>{lo, hi}(rng);
+    };
+    std::vector<ReqRecord> records(uniform(3, 12));
+    std::vector<ReqId> ids(40);
+    for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = i + 1;
+    std::shuffle(ids.begin(), ids.end(), rng);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        ReqRecord& rec = records[i];
+        rec.id = ids[i];
+        rec.kind = "k" + std::to_string(i);
+        if (i == 1 || i == 2) {
+            rec.parent = records[i - 1].id;
+        } else if (i > 0 && uniform(0, 9) < 7) {
+            rec.parent = records[uniform(0, i - 1)].id;
+        } else {
+            rec.parent = uniform(0, 1) ? 0 : 1'000 + i;  // Parentless or orphaned.
+        }
+        rec.beginTick = uniform(0, 120);
+        rec.ended = uniform(0, 9) < 7;
+        rec.endTick = rec.ended ? rec.beginTick + uniform(0, 150) : 0;
+        const std::size_t spans = uniform(0, 8);
+        for (std::size_t k = 0; k < spans; ++k) {
+            const auto stage = static_cast<ReqStage>(uniform(0, kNumReqStages - 1));
+            const Tick b = uniform(0, 220);
+            rec.spans.push_back(ReqSpan{stage, b, b + uniform(1, 60)});
+            if (uniform(0, 9) < 3) {  // Nested span of the same stage.
+                const ReqSpan& outer = rec.spans.back();
+                const Tick nb = outer.begin + uniform(0, outer.end - outer.begin - 1);
+                rec.spans.push_back(ReqSpan{stage, nb, nb + uniform(1, outer.end - nb)});
+            }
+        }
+        std::shuffle(rec.spans.begin(), rec.spans.end(), rng);
+    }
+    std::shuffle(records.begin(), records.end(), rng);
+    return records;
+}
+
+void expectSameBlame(const BlameSummary& got, const BlameSummary& want) {
+    ASSERT_EQ(got.roots.size(), want.roots.size());
+    for (std::size_t r = 0; r < want.roots.size(); ++r) {
+        const RequestBlame& g = got.roots[r];
+        const RequestBlame& w = want.roots[r];
+        EXPECT_EQ(g.id, w.id);
+        EXPECT_EQ(g.kind, w.kind);
+        EXPECT_EQ(g.begin, w.begin);
+        EXPECT_EQ(g.end, w.end);
+        EXPECT_EQ(g.stageTicks, w.stageTicks) << "root " << w.id;
+        EXPECT_EQ(g.unattributed, w.unattributed) << "root " << w.id;
+    }
+    EXPECT_EQ(got.stageTicks, want.stageTicks);
+    EXPECT_EQ(got.unattributed, want.unattributed);
+    EXPECT_EQ(got.totalTicks, want.totalTicks);
+}
+
+TEST(ReqTrace, BlameMatchesPerTickOracleOnRandomForests) {
+    std::size_t deepTrees = 0;
+    for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        std::mt19937_64 rng{seed};
+        const std::vector<ReqRecord> records = randomForest(rng);
+
+        // Unsorted records and spans, as no finish() would leave them.
+        expectSameBlame(computeBlame(records), perTickBlame(records));
+
+        // The same forest through a session: canonical after finish().
+        ReqTraceSession session{"", "oracle"};
+        for (const ReqRecord& rec : records) {
+            session.onBegin(rec.id, rec.parent, rec.kind.c_str(), rec.beginTick);
+            for (const ReqSpan& span : rec.spans) {
+                session.onSpan(rec.id, span.stage, span.begin, span.end);
+            }
+            if (rec.ended) session.onEnd(rec.id, rec.endTick);
+        }
+        session.finish(0);
+        expectSameBlame(computeBlame(session.data()), perTickBlame(session.data()));
+
+        const ReqTree tree = buildReqTree(records);
+        for (const std::size_t root : tree.roots) {
+            for (const std::size_t child : tree.children[root]) {
+                for (const std::size_t grandchild : tree.children[child]) {
+                    deepTrees += !tree.children[grandchild].empty() ||
+                                 !records[grandchild].spans.empty();
+                }
+            }
+        }
+    }
+    EXPECT_GT(deepTrees, 100u);  // Three-level trees with work at the bottom.
+}
+
+TEST(ReqTrace, BlameClipsSpansToTheRootWindow) {
+    // Spans that start before their root's begin are clipped to it; the
+    // window runs to the last span end, past the explicit end, so nothing
+    // extends beyond the effective end.
+    std::vector<ReqRecord> records(2);
+    records[0].id = 1;
+    records[0].beginTick = 100;
+    records[0].endTick = 150;
+    records[0].ended = true;
+    records[0].spans = {{ReqStage::kXbarQueue, 40, 130}};
+    records[1].id = 2;
+    records[1].parent = 1;
+    records[1].spans = {{ReqStage::kDrain, 160, 200}, {ReqStage::kHostLoad, 0, 120}};
+    const BlameSummary blame = computeBlame(records);
+    ASSERT_EQ(blame.roots.size(), 1u);
+    const RequestBlame& root = blame.roots[0];
+    EXPECT_EQ(root.end, 200u);
+    EXPECT_EQ(root.stageTicks[static_cast<std::size_t>(ReqStage::kXbarQueue)], 30u);
+    EXPECT_EQ(root.stageTicks[static_cast<std::size_t>(ReqStage::kHostLoad)], 0u);
+    EXPECT_EQ(root.stageTicks[static_cast<std::size_t>(ReqStage::kDrain)], 40u);
+    EXPECT_EQ(root.unattributed, 30u);
+    expectSameBlame(blame, perTickBlame(records));
 }
 
 TEST(ReqTrace, BlameReportJsonSharesSumTo100) {
