@@ -4,10 +4,24 @@
 
 namespace g5r {
 
+namespace {
+
+/// Sets in a cache of @p p, after checking the geometry divides cleanly.
+unsigned numSetsOf(const CacheParams& p) {
+    simAssert(p.assoc > 0, "cache associativity must be non-zero");
+    simAssert(p.lineSize > 0 && (p.lineSize & (p.lineSize - 1)) == 0,
+              "cache line size must be a non-zero power of two");
+    simAssert(p.sizeBytes % (p.lineSize * p.assoc) == 0,
+              "cache size must be a multiple of lineSize * assoc");
+    return p.sizeBytes / (p.lineSize * p.assoc);
+}
+
+}  // namespace
+
 Cache::Cache(Simulation& sim, std::string objName, const CacheParams& params)
     : ClockedObject(sim, std::move(objName), params.clockPeriod),
       params_(params),
-      numSets_(params.sizeBytes / (params.lineSize * params.assoc)),
+      numSets_(numSetsOf(params)),
       cpuSide_(name() + ".cpu_side", *this),
       memSide_(name() + ".mem_side", *this),
       reqEvent_([this] { trySendRequests(); }, name() + ".reqEvent"),
@@ -24,8 +38,6 @@ Cache::Cache(Simulation& sim, std::string objName, const CacheParams& params)
       demandAccesses_(stats_.scalar("demandAccesses", "CPU-side requests observed")) {
     simAssert(numSets_ > 0 && (numSets_ & (numSets_ - 1)) == 0,
               "cache sets must be a non-zero power of two");
-    sets_.resize(numSets_);
-    for (auto& set : sets_) set.resize(params_.assoc);
 }
 
 bool Cache::isUncacheable(Addr a) const {
@@ -33,23 +45,20 @@ bool Cache::isUncacheable(Addr a) const {
                        [a](const AddrRange& r) { return r.contains(a); });
 }
 
-Cache::Line* Cache::findLine(Addr blockAddr) {
-    auto& set = sets_[(blockAddr / params_.lineSize) % numSets_];
-    for (auto& line : set) {
-        if (line.valid && line.tag == blockAddr) return &line;
+Cache::LineIdx Cache::findLine(Addr blockAddr) const {
+    if (tags_.empty()) return kNoLine;  // Never filled.
+    const LineIdx first = firstWay(blockAddr);
+    for (LineIdx line = first; line < first + params_.assoc; ++line) {
+        if (tags_[line].valid && tags_[line].tag == blockAddr) return line;
     }
-    return nullptr;
+    return kNoLine;
 }
 
-const Cache::Line* Cache::findLineConst(Addr blockAddr) const {
-    return const_cast<Cache*>(this)->findLine(blockAddr);
-}
-
-bool Cache::isCached(Addr addr) const { return findLineConst(blockAlign(addr)) != nullptr; }
+bool Cache::isCached(Addr addr) const { return findLine(blockAlign(addr)) != kNoLine; }
 
 bool Cache::isDirty(Addr addr) const {
-    const Line* line = findLineConst(blockAlign(addr));
-    return line != nullptr && line->dirty;
+    const LineIdx line = findLine(blockAlign(addr));
+    return line != kNoLine && tags_[line].dirty;
 }
 
 // ------------------------------------------------------------ request path --
@@ -68,10 +77,10 @@ bool Cache::access(PacketPtr& pkt) {
     simAssert(blockAlign(pkt->addr() + pkt->size() - 1) == blockAddr,
               "cache access crosses a line boundary");
 
-    if (Line* line = findLine(blockAddr)) {
+    if (const LineIdx line = findLine(blockAddr); line != kNoLine) {
         ++hits_;
         const RequestorId requestor = pkt->requestor();
-        handleHit(std::move(pkt), *line);
+        handleHit(std::move(pkt), line);
         // Train the prefetcher on hits too, so a stream it already covers
         // keeps extending instead of stalling until the next miss.
         maybePrefetch(blockAddr, requestor);
@@ -80,8 +89,8 @@ bool Cache::access(PacketPtr& pkt) {
     return handleMiss(pkt);
 }
 
-void Cache::handleHit(PacketPtr pkt, Line& line) {
-    line.lastUsed = ++lruCounter_;
+void Cache::handleHit(PacketPtr pkt, LineIdx line) {
+    tags_[line].lastUsed = ++lruCounter_;
     satisfyTarget(*pkt, line);
     if (!pkt->needsResponse()) {
         // A writeback from an upper cache hitting here is absorbed.
@@ -134,7 +143,7 @@ void Cache::maybePrefetch(Addr missAddr, RequestorId requestor) {
     if (!params_.enablePrefetcher) return;
     for (const Addr predicted : prefetcher_.notifyAccess(missAddr, requestor)) {
         const Addr blockAddr = blockAlign(predicted);
-        if (findLine(blockAddr) != nullptr) continue;
+        if (findLine(blockAddr) != kNoLine) continue;
         if (mshrs_.count(blockAddr) > 0) continue;
         if (mshrs_.size() >= params_.mshrs) break;  // Never starve demand misses.
 
@@ -170,7 +179,7 @@ bool Cache::handleFill(PacketPtr& pkt) {
     Mshr mshr = std::move(it->second);
     mshrs_.erase(it);
 
-    Line& line = insertBlock(blockAddr, pkt->constData());
+    const LineIdx line = insertBlock(blockAddr, pkt->constData());
     pkt.reset();
 
     if (mshr.prefetchOnly) ++prefetchFills_;
@@ -188,42 +197,49 @@ bool Cache::handleFill(PacketPtr& pkt) {
     return true;
 }
 
-Cache::Line& Cache::insertBlock(Addr blockAddr, const std::uint8_t* data) {
-    auto& set = sets_[(blockAddr / params_.lineSize) % numSets_];
-
-    Line* victim = nullptr;
-    for (auto& line : set) {
-        if (!line.valid) {
-            victim = &line;
-            break;
-        }
-        if (victim == nullptr || line.lastUsed < victim->lastUsed) victim = &line;
+Cache::LineIdx Cache::insertBlock(Addr blockAddr, const std::uint8_t* data) {
+    if (tags_.empty()) {
+        // First fill. Line data is left uninitialised (every line is written
+        // whole before it is read), so pages no line lands in stay untouched.
+        tags_.resize(std::size_t{numSets_} * params_.assoc);
+        data_ = std::make_unique_for_overwrite<std::uint8_t[]>(tags_.size() * params_.lineSize);
     }
 
-    if (victim->valid && victim->dirty) {
+    // First invalid way, else the least recently used one.
+    const LineIdx first = firstWay(blockAddr);
+    LineIdx victim = first;
+    for (LineIdx line = first; line < first + params_.assoc; ++line) {
+        if (!tags_[line].valid) {
+            victim = line;
+            break;
+        }
+        if (tags_[line].lastUsed < tags_[victim].lastUsed) victim = line;
+    }
+
+    Tag& slot = tags_[victim];
+    if (slot.valid && slot.dirty) {
         ++writebacks_;
-        auto wb = std::make_unique<Packet>(MemCmd::kWritebackDirty, victim->tag,
-                                           params_.lineSize);
-        wb->setData(victim->data.data());
+        auto wb = std::make_unique<Packet>(MemCmd::kWritebackDirty, slot.tag, params_.lineSize);
+        wb->setData(lineData(victim));
         pushRequest(std::move(wb), clockEdge(1));
     }
 
-    victim->tag = blockAddr;
-    victim->valid = true;
-    victim->dirty = false;
-    victim->lastUsed = ++lruCounter_;
-    victim->data.assign(data, data + params_.lineSize);
-    return *victim;
+    slot.tag = blockAddr;
+    slot.valid = true;
+    slot.dirty = false;
+    slot.lastUsed = ++lruCounter_;
+    std::copy_n(data, params_.lineSize, lineData(victim));
+    return victim;
 }
 
-void Cache::satisfyTarget(Packet& target, Line& line) {
-    const Addr offset = target.addr() - line.tag;
+void Cache::satisfyTarget(Packet& target, LineIdx line) {
+    std::uint8_t* bytes = lineData(line) + (target.addr() - tags_[line].tag);
     if (target.isWrite()) {
         simAssert(target.hasData(), "write without payload");
-        std::copy_n(target.constData(), target.size(), line.data.begin() + offset);
-        line.dirty = true;
+        std::copy_n(target.constData(), target.size(), bytes);
+        tags_[line].dirty = true;
     } else {
-        std::copy_n(line.data.begin() + offset, target.size(), target.data());
+        std::copy_n(bytes, target.size(), target.data());
     }
 }
 
@@ -232,8 +248,8 @@ void Cache::functionalAccess(Packet& pkt) {
         memSide_.sendFunctional(pkt);
         return;
     }
-    if (Line* line = findLine(blockAlign(pkt.addr()))) {
-        satisfyTarget(pkt, *line);
+    if (const LineIdx line = findLine(blockAlign(pkt.addr())); line != kNoLine) {
+        satisfyTarget(pkt, line);
         return;
     }
     memSide_.sendFunctional(pkt);

@@ -5,13 +5,18 @@
 // and an optional stride prefetcher (used at L2). Lines carry real data, so
 // the hierarchy is functionally correct, not just a timing filter.
 //
+// Tags and line data live in two flat arrays (set-major, way-minor) that are
+// allocated on the first fill, not at construction: a cache that is built but
+// never filled (the Table 1 LLC under accelerator-only runs) costs nothing
+// proportional to its size, and its lookups miss at once.
+//
 // Uncacheable requests (device registers, RTL-model CSB space) are forwarded
 // downstream unmodified and matched back to their response by packet id.
 #pragma once
 
+#include <cstddef>
 #include <deque>
-#include <list>
-#include <optional>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -51,6 +56,8 @@ public:
     bool isCached(Addr addr) const;
     bool isDirty(Addr addr) const;
     unsigned mshrsInUse() const { return static_cast<unsigned>(mshrs_.size()); }
+    /// Host bytes held by tags and line data: 0 until the first fill.
+    std::size_t storageBytes() const { return tags_.size() * (sizeof(Tag) + params_.lineSize); }
 
     /// Pulse a hardware-event line on every demand miss (PMU wiring).
     void setMissEvent(HwEventBus* bus, unsigned line) {
@@ -59,13 +66,16 @@ public:
     }
 
 private:
-    struct Line {
+    struct Tag {
         Addr tag = 0;
         bool valid = false;
         bool dirty = false;
         std::uint64_t lastUsed = 0;
-        std::vector<std::uint8_t> data;
     };
+
+    /// A line is its flat index, set * assoc + way, into tags_ and data_.
+    using LineIdx = std::size_t;
+    static constexpr LineIdx kNoLine = ~LineIdx{0};
 
     /// One outstanding miss; demand packets pile up as targets.
     struct Mshr {
@@ -102,7 +112,7 @@ private:
 
     // Request path (from CPU side).
     bool access(PacketPtr& pkt);
-    void handleHit(PacketPtr pkt, Line& line);
+    void handleHit(PacketPtr pkt, LineIdx line);
     bool handleMiss(PacketPtr& pkt);
 
     // Functional path: update/read cached data, else forward downstream.
@@ -110,8 +120,8 @@ private:
 
     // Fill path (from memory side).
     bool handleFill(PacketPtr& pkt);
-    Line& insertBlock(Addr blockAddr, const std::uint8_t* data);
-    void satisfyTarget(Packet& target, Line& line);
+    LineIdx insertBlock(Addr blockAddr, const std::uint8_t* data);
+    void satisfyTarget(Packet& target, LineIdx line);
 
     // Prefetch issue.
     void maybePrefetch(Addr missAddr, RequestorId requestor);
@@ -122,12 +132,17 @@ private:
     void trySendRequests();
     void trySendResponses();
 
-    Line* findLine(Addr blockAddr);
-    const Line* findLineConst(Addr blockAddr) const;
+    /// The valid line holding @p blockAddr, or kNoLine.
+    LineIdx findLine(Addr blockAddr) const;
+    LineIdx firstWay(Addr blockAddr) const {
+        return ((blockAddr / params_.lineSize) % numSets_) * params_.assoc;
+    }
+    std::uint8_t* lineData(LineIdx line) { return data_.get() + line * params_.lineSize; }
 
     CacheParams params_;
     unsigned numSets_;
-    std::vector<std::vector<Line>> sets_;
+    std::vector<Tag> tags_;                  ///< numSets_ * assoc once filled, else empty.
+    std::unique_ptr<std::uint8_t[]> data_;   ///< numSets_ * assoc * lineSize bytes.
     std::uint64_t lruCounter_ = 0;
 
     std::unordered_map<Addr, Mshr> mshrs_;

@@ -1,7 +1,12 @@
 // Cache behaviour: hits/misses, MSHR merging and exhaustion, write-allocate,
-// dirty writebacks, LRU victimisation, prefetching, uncacheable forwarding,
-// and multi-level stacking.
+// dirty writebacks, LRU victimisation (also against a brute-force reference),
+// prefetching, uncacheable forwarding, multi-level stacking, storage made on
+// first fill, and parameter validation.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <random>
 
 #include "common/test_requester.hh"
 #include "mem/cache/cache.hh"
@@ -316,6 +321,194 @@ TEST_P(CacheAssocSweep, WorkingSetFitsExactlyAssocWays) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Assoc, CacheAssocSweep, ::testing::Values(1u, 2u, 4u, 8u, 16u));
+
+// Brute-force write-back LRU: each set is a vector of its resident lines,
+// least recently used first.
+class LruReference {
+public:
+    LruReference(unsigned numSets, unsigned assoc, unsigned lineSize)
+        : sets_(numSets), assoc_(assoc), lineSize_(lineSize) {}
+
+    void access(Addr blockAddr, bool write) {
+        auto& set = sets_[(blockAddr / lineSize_) % sets_.size()];
+        auto it = std::find_if(set.begin(), set.end(),
+                               [&](const Entry& e) { return e.blockAddr == blockAddr; });
+        Entry entry{blockAddr, write};
+        if (it != set.end()) {
+            ++hits;
+            entry.dirty = it->dirty || write;
+            set.erase(it);
+        } else {
+            ++misses;
+            if (set.size() == assoc_) {
+                writebacks += set.front().dirty ? 1 : 0;
+                set.erase(set.begin());
+            }
+        }
+        set.push_back(entry);
+    }
+
+    bool isCached(Addr blockAddr) const { return find(blockAddr) != nullptr; }
+    bool isDirty(Addr blockAddr) const {
+        const Entry* e = find(blockAddr);
+        return e != nullptr && e->dirty;
+    }
+
+    double hits = 0;
+    double misses = 0;
+    double writebacks = 0;
+
+private:
+    struct Entry {
+        Addr blockAddr;
+        bool dirty;
+    };
+
+    const Entry* find(Addr blockAddr) const {
+        const auto& set = sets_[(blockAddr / lineSize_) % sets_.size()];
+        for (const Entry& e : set) {
+            if (e.blockAddr == blockAddr) return &e;
+        }
+        return nullptr;
+    }
+
+    std::vector<std::vector<Entry>> sets_;
+    unsigned assoc_;
+    unsigned lineSize_;
+};
+
+// Differential check: a seeded random read/write stream over three times the
+// cache's capacity, one access at a time, must leave the real cache's stats,
+// residency, dirtiness and read data exactly where the reference says.
+class CacheLruDifferential : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(CacheLruDifferential, MatchesBruteForceLru) {
+    constexpr unsigned kSets = 8;
+    constexpr unsigned kLine = 64;
+    const unsigned assoc = GetParam();
+    auto params = Harness::smallCache();
+    params.assoc = assoc;
+    params.sizeBytes = kSets * kLine * assoc;
+    Harness h{params};
+    LruReference ref{kSets, assoc, kLine};
+
+    const unsigned workingSetLines = 3 * kSets * assoc;
+    std::mt19937_64 rng{0x5EED0000u + assoc};
+    std::map<Addr, std::uint64_t> shadow;  // Every word written so far.
+    std::vector<Addr> touched;
+
+    for (int i = 0; i < 3000; ++i) {
+        const Addr block = Addr{rng() % workingSetLines} * kLine;
+        const Addr addr = block + (rng() % (kLine / 8)) * 8;
+        const bool write = rng() % 3 == 0;
+        if (std::find(touched.begin(), touched.end(), block) == touched.end()) {
+            touched.push_back(block);
+        }
+
+        if (write) {
+            const std::uint64_t value = rng();
+            auto pkt = makeWritePacket(addr, 8);
+            pkt->set<std::uint64_t>(value);
+            shadow[addr] = value;
+            h.req.issueAt(h.sim.curTick() + 1, std::move(pkt));
+        } else {
+            h.req.issueAt(h.sim.curTick() + 1, makeReadPacket(addr, 8));
+        }
+        h.sim.run();
+        ref.access(block, write);
+
+        ASSERT_EQ(h.req.numResponses(), static_cast<std::size_t>(i + 1));
+        if (!write) {
+            const auto it = shadow.find(addr);
+            ASSERT_EQ(h.req.responses().back().pkt->get<std::uint64_t>(),
+                      it == shadow.end() ? 0u : it->second)
+                << "access " << i << " read 0x" << std::hex << addr;
+        }
+        ASSERT_EQ(h.stat("hits"), ref.hits) << "access " << i;
+        ASSERT_EQ(h.stat("misses"), ref.misses) << "access " << i;
+        ASSERT_EQ(h.stat("writebacks"), ref.writebacks) << "access " << i;
+        for (const Addr line : touched) {
+            ASSERT_EQ(h.cache.isCached(line), ref.isCached(line))
+                << "access " << i << " line 0x" << std::hex << line;
+            ASSERT_EQ(h.cache.isDirty(line), ref.isDirty(line))
+                << "access " << i << " line 0x" << std::hex << line;
+        }
+    }
+    // The stream really thrashed: every way was a victim many times over.
+    EXPECT_GT(ref.misses, 10.0 * kSets * assoc);
+    EXPECT_GT(ref.writebacks, 0.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Assoc, CacheLruDifferential, ::testing::Values(1u, 2u, 4u, 16u));
+
+// A cache that has never filled (the Table 1 LLC bank geometry: 2 MiB,
+// 16-way) holds no storage; functional traffic passes straight to memory.
+TEST(Cache, NeverFilledCacheForwardsFunctionalAccessesAndHoldsNoStorage) {
+    auto params = Harness::smallCache();
+    params.sizeBytes = 2 * 1024 * 1024;
+    params.assoc = 16;
+    Harness h{params};
+    EXPECT_EQ(h.cache.storageBytes(), 0u);
+
+    // An odd-sized write straddling two lines, as a segment loader issues.
+    Packet w{MemCmd::kWriteReq, 0x103B, 13};
+    for (unsigned i = 0; i < 13; ++i) w.data()[i] = static_cast<std::uint8_t>(0xA0 + i);
+    h.req.port().sendFunctional(w);
+    for (unsigned i = 0; i < 13; ++i) {
+        EXPECT_EQ(h.store.load<std::uint8_t>(0x103B + i), 0xA0 + i) << "byte " << i;
+    }
+    EXPECT_EQ(h.store.load<std::uint8_t>(0x103A), 0u);
+    EXPECT_EQ(h.store.load<std::uint8_t>(0x1048), 0u);
+
+    h.store.store<std::uint64_t>(0x2000, 0x0123456789ABCDEFULL);
+    Packet r{MemCmd::kReadReq, 0x2000, 8};
+    h.req.port().sendFunctional(r);
+    EXPECT_EQ(r.get<std::uint64_t>(), 0x0123456789ABCDEFULL);
+
+    EXPECT_FALSE(h.cache.isCached(0x1000));
+    EXPECT_FALSE(h.cache.isCached(0x1040));
+    EXPECT_FALSE(h.cache.isCached(0x2000));
+    EXPECT_EQ(h.cache.storageBytes(), 0u);
+
+    // The first fill materialises the whole array, and the line is served.
+    h.req.issueAt(0, makeReadPacket(0x2000, 8));
+    h.sim.run();
+    ASSERT_EQ(h.req.numResponses(), 1u);
+    EXPECT_EQ(h.req.responses()[0].pkt->get<std::uint64_t>(), 0x0123456789ABCDEFULL);
+    EXPECT_TRUE(h.cache.isCached(0x2000));
+    EXPECT_GE(h.cache.storageBytes(), std::size_t{params.sizeBytes});
+}
+
+// Geometry that cannot divide into power-of-two sets of whole lines is
+// rejected before the set count is computed.
+void buildCache(const CacheParams& params) {
+    Simulation sim;
+    Cache cache(sim, "l1", params);
+}
+
+TEST(CacheDeath, ZeroAssociativityPanics) {
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    auto params = Harness::smallCache();
+    params.assoc = 0;
+    EXPECT_DEATH(buildCache(params), "associativity must be non-zero");
+}
+
+TEST(CacheDeath, NonPowerOfTwoLineSizePanics) {
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    auto params = Harness::smallCache();
+    params.lineSize = 48;
+    params.sizeBytes = 48 * 4 * 16;  // Divides evenly into 16 sets.
+    EXPECT_DEATH(buildCache(params), "line size must be a non-zero power of two");
+    params.lineSize = 0;
+    EXPECT_DEATH(buildCache(params), "line size must be a non-zero power of two");
+}
+
+TEST(CacheDeath, SizeNotAMultipleOfSetBytesPanics) {
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    auto params = Harness::smallCache();
+    params.sizeBytes = 4 * 1024 + 64;  // 16 sets of 4 x 64 B plus a stray line.
+    EXPECT_DEATH(buildCache(params), "size must be a multiple of lineSize \\* assoc");
+}
 
 }  // namespace
 }  // namespace g5r
