@@ -197,10 +197,8 @@ private:
     stats::Scalar& statZeroCreditTicks_;
     stats::Scalar& statGatedTicks_;
     stats::Scalar& statIrqEdges_;
-    stats::Distribution& statOutstanding_;
-    /// Quantile-capable views of the bridge queues, sampled each delivered
-    /// tick alongside statOutstanding_: outstanding memory requests and
-    /// device-queue depth.
+    /// The bridge queues, sampled each delivered tick: outstanding memory
+    /// requests and device-queue depth.
     stats::Histogram& statOutstandingHist_;
     stats::Histogram& statDevQueueHist_;
 };

@@ -14,7 +14,7 @@ DmaEngine::DmaEngine(Simulation& sim, std::string objName, const Params& params)
       bytesCopied_(stats_.scalar("bytesCopied", "payload bytes copied")),
       descriptorLatency_(
           stats_.histogram("descriptorLatency", "enqueue-to-complete ticks")),
-      inflight_(stats_.distribution("inflight", "outstanding line requests")) {
+      inflight_(stats_.histogram("inflight", "outstanding line requests")) {
     simAssert(params_.maxInflight > 0, "DMA needs at least one in-flight request");
     simAssert(params_.lineBytes > 0 && (params_.lineBytes & (params_.lineBytes - 1)) == 0,
               "DMA line size must be a power of two");
@@ -65,7 +65,7 @@ void DmaEngine::issueReads() {
         src.queue.push_back(std::move(read));
         cursor_ += chunk;
         ++outstandingReads_;
-        inflight_.sample(static_cast<double>(outstandingReads_ + outstandingWrites_));
+        inflight_.sampleInt(outstandingReads_ + outstandingWrites_);
     }
     sendQueued(srcIsMem());
 }

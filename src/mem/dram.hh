@@ -121,7 +121,7 @@ private:
     stats::Scalar& busTurnarounds_;
     stats::Scalar& bytesTransferred_;
     stats::Scalar& starvationBreaks_;
-    stats::Distribution& readQueueLatency_;
+    stats::Histogram& readQueueLatency_;
 };
 
 /// The externally visible memory: one response port, N channels interleaved

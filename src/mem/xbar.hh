@@ -87,7 +87,7 @@ private:
 
     /// Book-keeping for an outstanding request: where its response must be
     /// switched back to, and when the crossbar accepted the request (the
-    /// zero point of the per-requestor round-trip latency distribution).
+    /// zero point of the per-requestor round-trip latency histogram).
     struct RouteInfo {
         unsigned up;
         Tick issued;
@@ -122,11 +122,9 @@ private:
     stats::Scalar& layerConflicts_;
     stats::Scalar& bytesRouted_;
     /// Per upstream port: round-trip ticks from request accept to response
-    /// arrival ("latency.<suffix>"), indexed like upPorts_.
-    std::vector<stats::Distribution*> latency_;
-    /// Quantile-capable companions to latency_ ("latencyHist.<suffix>"):
-    /// same sample stream, but with exact bucket counts so p50/p99/p999 are
-    /// answerable and per-master histograms merge losslessly.
+    /// arrival ("latencyHist.<suffix>"), indexed like upPorts_. Exact bucket
+    /// counts answer p50/p99/p999 and let per-master histograms merge
+    /// losslessly.
     std::vector<stats::Histogram*> latencyHist_;
 };
 

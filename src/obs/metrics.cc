@@ -35,12 +35,7 @@ void MetricsSession::refreshChannels() {
         for (const auto& stat : obj->statsGroup().all()) {
             const stats::Stat* s = stat.get();
             if (!seen_.insert(s).second) continue;
-            if (const auto* dist = dynamic_cast<const stats::Distribution*>(s)) {
-                channels_.push_back({s->name() + ".count",
-                                     [dist] { return static_cast<double>(dist->count()); }});
-                channels_.push_back({s->name() + ".mean", [dist] { return dist->mean(); }});
-                channels_.push_back({s->name() + ".max", [dist] { return dist->maxValue(); }});
-            } else if (const auto* hist = dynamic_cast<const stats::Histogram*>(s)) {
+            if (const auto* hist = dynamic_cast<const stats::Histogram*>(s)) {
                 channels_.push_back({s->name() + ".count",
                                      [hist] { return static_cast<double>(hist->count()); }});
                 channels_.push_back({s->name() + ".p50", [hist] { return hist->quantile(0.50); }});

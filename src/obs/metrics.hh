@@ -14,7 +14,6 @@
 // Channels are flat numeric series derived from the stats:
 //
 //   Scalar / Formula  ->  "<obj>.<stat>"
-//   Distribution      ->  ".count" / ".mean" / ".max" sub-channels
 //   Histogram         ->  ".count" / ".p50" / ".p99" / ".p999" sub-channels
 //
 // Samples are delta-encoded: each line carries only the channels whose value

@@ -53,10 +53,8 @@ class Stat;
 
 namespace g5r::obs {
 
-/// Compact view of one per-requestor latency distribution, for BENCH_*.json.
-/// The percentile fields come from the "latencyHist.<suffix>" histogram that
-/// shadows each "latency.<suffix>" distribution; they are 0 when no matching
-/// histogram exists.
+/// Compact view of one per-requestor "latencyHist.<suffix>" histogram, for
+/// BENCH_*.json. Every field is read from that one histogram.
 struct LatencySummary {
     std::uint64_t count = 0;
     double minTicks = 0.0;
@@ -66,8 +64,8 @@ struct LatencySummary {
     double p99Ticks = 0.0;
 };
 
-/// All "latency.<suffix>" distributions of a stats group (the per-master
-/// round-trip distributions an Xbar maintains), keyed by suffix.
+/// All "latencyHist.<suffix>" histograms of a stats group (the per-master
+/// round-trip histograms an Xbar maintains), keyed by suffix.
 std::vector<std::pair<std::string, LatencySummary>> portLatencies(const stats::Group& group);
 
 /// Fold every "latencyHist.<suffix>" histogram of @p group into one

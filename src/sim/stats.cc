@@ -54,11 +54,6 @@ Formula& Group::formula(std::string_view name, std::string_view desc,
         std::make_unique<Formula>(qualify(name), std::string{desc}, std::move(fn))));
 }
 
-Distribution& Group::distribution(std::string_view name, std::string_view desc) {
-    return static_cast<Distribution&>(
-        adopt(std::make_unique<Distribution>(qualify(name), std::string{desc})));
-}
-
 Histogram& Group::histogram(std::string_view name, std::string_view desc) {
     return static_cast<Histogram&>(
         adopt(std::make_unique<Histogram>(qualify(name), std::string{desc})));
@@ -86,18 +81,9 @@ exp::Json Group::dumpJson() const {
             rel.substr(0, prefix_.size()) == prefix_ && rel[prefix_.size()] == '.') {
             rel.remove_prefix(prefix_.size() + 1);
         }
-        if (const auto* dist = dynamic_cast<const Distribution*>(s.get())) {
-            // minValue()/maxValue() guard count==0 internally, so an empty
-            // distribution serializes as all-zeros rather than the min>max
-            // accumulator sentinels.
-            exp::Json d = exp::Json::object();
-            d["count"] = dist->count();
-            d["min"] = dist->minValue();
-            d["mean"] = dist->mean();
-            d["max"] = dist->maxValue();
-            d["stddev"] = dist->stddev();
-            doc[rel] = std::move(d);
-        } else if (const auto* hist = dynamic_cast<const Histogram*>(s.get())) {
+        if (const auto* hist = dynamic_cast<const Histogram*>(s.get())) {
+            // minValue()/maxValue() guard count==0, so an empty histogram
+            // serializes as all-zeros rather than its min>max sentinels.
             exp::Json h = exp::Json::object();
             h["count"] = hist->count();
             h["min"] = hist->minValue();

@@ -77,66 +77,17 @@ private:
     std::function<double()> fn_;
 };
 
-/// Running distribution: min/max/mean/stddev of sampled values.
-///
-/// Moments accumulate with Welford's online algorithm. The naive
-/// sum-of-squares form cancels catastrophically once samples carry a large
-/// common offset (e.g. latencies measured in absolute ticks late in a long
-/// run): sumSq/n and mean² agree in their leading digits and the subtraction
-/// can even go negative. Welford tracks the centered second moment directly,
-/// so variance stays accurate and non-negative regardless of offset.
-class Distribution final : public Stat {
-public:
-    using Stat::Stat;
-
-    void sample(double v) {
-        ++count_;
-        const double delta = v - mean_;
-        mean_ += delta / static_cast<double>(count_);
-        m2_ += delta * (v - mean_);
-        if (v < min_) min_ = v;
-        if (v > max_) max_ = v;
-    }
-
-    std::uint64_t count() const { return count_; }
-    double mean() const { return count_ ? mean_ : 0.0; }
-    double minValue() const { return count_ ? min_ : 0.0; }
-    double maxValue() const { return count_ ? max_ : 0.0; }
-
-    /// Population variance (divide by n, matching the historical behavior).
-    double variance() const {
-        if (count_ < 2) return 0.0;
-        return m2_ / static_cast<double>(count_);
-    }
-    double stddev() const { return std::sqrt(variance()); }
-
-    /// The headline value of a distribution is its mean.
-    double value() const override { return mean(); }
-
-    void reset() override {
-        count_ = 0;
-        mean_ = m2_ = 0.0;
-        min_ = std::numeric_limits<double>::max();
-        max_ = std::numeric_limits<double>::lowest();
-    }
-
-private:
-    std::uint64_t count_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;  ///< Sum of squared deviations from the running mean.
-    double min_ = std::numeric_limits<double>::max();
-    double max_ = std::numeric_limits<double>::lowest();
-};
-
 /// Exact-count log2-bucketed histogram state (HDR-style).
 ///
 /// Buckets are octaves split into 2^kSubBucketBits linear sub-buckets, so
 /// values below kSubBuckets are recorded exactly and larger values with a
 /// bounded relative error of 1/kSubBuckets (~3.1%). Counts are exact 64-bit
-/// integers, which makes two properties the Welford distribution cannot
-/// offer: arbitrary quantile queries (p50/p90/p99/p999) and lossless
-/// merging across instances (per-master latency histograms fold into one
-/// SoC-wide histogram by adding bucket counts).
+/// integers, which gives arbitrary quantile queries (p50/p90/p99/p999) and
+/// lossless merging across instances (per-master latency histograms fold
+/// into one SoC-wide histogram by adding bucket counts). Count, min and max
+/// are exact; the mean is sum/count, so samples riding on a large common
+/// offset (absolute ticks late in a long run) lose no precision to a
+/// running update.
 ///
 /// This is a plain copyable value type; the Stat wrapper below registers it
 /// in a Group. Samples are non-negative magnitudes (ticks, queue depths);
@@ -239,9 +190,9 @@ private:
     std::uint64_t max_ = 0;
 };
 
-/// The Stat wrapper over HistogramData: a quantile-capable companion to
-/// Distribution for the hot sampling sites (crossbar latency, bridge queue
-/// occupancy). The headline value is the mean, matching Distribution.
+/// The Stat wrapper over HistogramData, and the only sampled-value stat:
+/// crossbar latency, DRAM read latency, bridge and DMA occupancy all record
+/// each value once here. The headline value is the mean.
 class Histogram final : public Stat {
 public:
     using Stat::Stat;
@@ -273,7 +224,6 @@ public:
 
     Scalar& scalar(std::string_view name, std::string_view desc);
     Formula& formula(std::string_view name, std::string_view desc, std::function<double()> fn);
-    Distribution& distribution(std::string_view name, std::string_view desc);
     Histogram& histogram(std::string_view name, std::string_view desc);
 
     const std::string& prefix() const { return prefix_; }
@@ -287,8 +237,8 @@ public:
     void dump(std::ostream& os) const;
 
     /// The same snapshot as a JSON object keyed by stat name relative to
-    /// this group's prefix. Scalars and formulas become numbers;
-    /// distributions become {count, min, mean, max, stddev} objects. The
+    /// this group's prefix. Scalars and formulas become numbers; histograms
+    /// become {count, min, mean, max, p50, p90, p99, p999} objects. The
     /// text dump() above is unchanged (and byte-identical) — this is a
     /// parallel machine-readable view for BENCH_*.json-style consumers.
     exp::Json dumpJson() const;

@@ -236,9 +236,9 @@ DseRunResult runNvdlaDse(const DseRunConfig& config) {
     }
     result.runtimeTicks = last;
     if (!instances.empty()) {
-        const auto* dist = dynamic_cast<const stats::Distribution*>(
-            instances[0].rtl->statsGroup().find("outstanding"));
-        if (dist != nullptr) result.avgOutstanding = dist->mean();
+        if (const auto* s = instances[0].rtl->statsGroup().find("outstandingHist")) {
+            result.avgOutstanding = s->value();
+        }
         if (dmaSpm) {
             const stats::Group& spmStats = soc.spm(0).statsGroup();
             if (const auto* s = spmStats.find("readHits")) result.spmReadHits = s->value();

@@ -116,8 +116,8 @@ struct DseRunResult {
     std::vector<std::pair<std::string, double>> stageBlame;
     std::string reqtracePath;    ///< Sidecar path, when one was written.
 
-    /// Per-master round-trip latency on the memory bus ("latency.<suffix>"
-    /// distributions), always collected — the Xbar maintains them whether
+    /// Per-master round-trip latency on the memory bus ("latencyHist.<suffix>"
+    /// histograms), always collected — the Xbar maintains them whether
     /// or not observability is on.
     std::vector<std::pair<std::string, obs::LatencySummary>> memLatency;
 

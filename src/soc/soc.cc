@@ -244,7 +244,7 @@ RtlObject& Soc::attachRtlModel(const std::string& name, std::unique_ptr<RtlModel
         }
     }
     if (obs_ != nullptr) {
-        if (const auto* s = obj.statsGroup().find("outstanding")) obs_->addCounter(*s);
+        if (const auto* s = obj.statsGroup().find("outstandingHist")) obs_->addCounter(*s);
         if (const auto* s = obj.statsGroup().find("gatedTicks")) obs_->addCounter(*s);
         const auto it = memPaths_.find(idx);
         if (it != memPaths_.end()) {

@@ -236,10 +236,10 @@ TEST(RtlObjectNvdla, InflightCapIsRespected) {
     NvdlaSocHarness h{4};
     h.run();
     ASSERT_TRUE(h.host->finished());
-    const auto* dist = dynamic_cast<const stats::Distribution*>(
-        h.sim.findStat("nvdla0.outstanding"));
-    ASSERT_NE(dist, nullptr);
-    EXPECT_LE(dist->maxValue(), 4.0);
+    const auto* hist = dynamic_cast<const stats::Histogram*>(
+        h.sim.findStat("nvdla0.outstandingHist"));
+    ASSERT_NE(hist, nullptr);
+    EXPECT_LE(hist->maxValue(), 4.0);
     EXPECT_GT(h.sim.findStat("nvdla0.zeroCreditTicks")->value(), 0.0);
 }
 

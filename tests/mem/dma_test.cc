@@ -119,7 +119,7 @@ TEST(DmaEngine, RespectsInflightCap) {
     h.sim.run();
     h.expectPattern(h.spmStore, 0, 8192, 5);
     const auto* inflight =
-        dynamic_cast<const stats::Distribution*>(h.sim.findStat("dma.inflight"));
+        dynamic_cast<const stats::Histogram*>(h.sim.findStat("dma.inflight"));
     ASSERT_NE(inflight, nullptr);
     EXPECT_LE(inflight->maxValue(), 4.0);
     EXPECT_GT(inflight->maxValue(), 0.0);

@@ -1,4 +1,4 @@
-// Per-requestor crossbar latency distributions and their obs/ summaries.
+// Per-requestor crossbar latency histograms and their obs/ summaries.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -39,6 +39,10 @@ struct Harness {
     std::unique_ptr<SimpleMemory> mem;
 };
 
+const stats::Histogram* latencyHist(const Harness& h, const char* name) {
+    return dynamic_cast<const stats::Histogram*>(h.sim.findStat(name));
+}
+
 TEST(XbarLatency, DistributionCountsEveryRoundTrip) {
     Harness h;
     constexpr int kA = 5, kB = 3;
@@ -48,21 +52,21 @@ TEST(XbarLatency, DistributionCountsEveryRoundTrip) {
     ASSERT_EQ(h.reqA->numResponses(), kA);
     ASSERT_EQ(h.reqB->numResponses(), kB);
 
-    const auto* distA =
-        dynamic_cast<const stats::Distribution*>(h.sim.findStat("xbar.latency.a"));
-    const auto* distB =
-        dynamic_cast<const stats::Distribution*>(h.sim.findStat("xbar.latency.b"));
-    ASSERT_NE(distA, nullptr);
-    ASSERT_NE(distB, nullptr);
-    EXPECT_EQ(distA->count(), kA);
-    EXPECT_EQ(distB->count(), kB);
+    const auto* histA = latencyHist(h, "xbar.latencyHist.a");
+    const auto* histB = latencyHist(h, "xbar.latencyHist.b");
+    ASSERT_NE(histA, nullptr);
+    ASSERT_NE(histB, nullptr);
+    EXPECT_EQ(histA->count(), kA);
+    EXPECT_EQ(histB->count(), kB);
+    // Each round trip is recorded once, in the histogram alone.
+    EXPECT_EQ(h.sim.findStat("xbar.latency.a"), nullptr);
 
-    // Round trips take at least the memory latency, and the moments are
+    // Round trips take at least the memory latency, and the summary is
     // ordered sanely.
-    EXPECT_GE(distA->minValue(), 10'000.0);
-    EXPECT_LE(distA->minValue(), distA->mean());
-    EXPECT_LE(distA->mean(), distA->maxValue());
-    EXPECT_GE(distA->variance(), 0.0);
+    EXPECT_GE(histA->minValue(), 10'000.0);
+    EXPECT_LE(histA->minValue(), histA->mean());
+    EXPECT_LE(histA->mean(), histA->maxValue());
+    EXPECT_LE(histA->quantile(0.99), histA->maxValue());
 }
 
 TEST(XbarLatency, WritebacksDoNotSampleLatency) {
@@ -70,11 +74,10 @@ TEST(XbarLatency, WritebacksDoNotSampleLatency) {
     auto wb = std::make_unique<Packet>(MemCmd::kWritebackDirty, 0x100, 64);
     h.reqA->issueAt(0, std::move(wb));
     h.sim.run();
-    const auto* dist =
-        dynamic_cast<const stats::Distribution*>(h.sim.findStat("xbar.latency.a"));
-    ASSERT_NE(dist, nullptr);
+    const auto* hist = latencyHist(h, "xbar.latencyHist.a");
+    ASSERT_NE(hist, nullptr);
     // No response ever returned, so nothing was sampled.
-    EXPECT_EQ(dist->count(), 0u);
+    EXPECT_EQ(hist->count(), 0u);
 }
 
 TEST(XbarLatency, PortLatenciesSummarisesEveryMaster) {
@@ -92,6 +95,31 @@ TEST(XbarLatency, PortLatenciesSummarisesEveryMaster) {
     EXPECT_LE(a->second.meanTicks, a->second.maxTicks);
 }
 
+// Every LatencySummary field is read from the port's one histogram.
+TEST(XbarLatency, PortLatenciesEqualTheHistogram) {
+    Harness h;
+    for (int i = 0; i < 6; ++i) h.reqA->issueAt(100 * i, makeReadPacket(64 * i, 64));
+    for (int i = 0; i < 2; ++i) h.reqB->issueAt(0, makeReadPacket(0x8000 + 64 * i, 64));
+    h.sim.run();
+
+    const auto latencies = obs::portLatencies(h.xbar->statsGroup());
+    ASSERT_EQ(latencies.size(), 2u);
+    EXPECT_EQ(latencies[0].first, "a");  // Registration order.
+    EXPECT_EQ(latencies[1].first, "b");
+    for (const auto& [suffix, summary] : latencies) {
+        SCOPED_TRACE(suffix);
+        const auto* hist = latencyHist(h, ("xbar.latencyHist." + suffix).c_str());
+        ASSERT_NE(hist, nullptr);
+        EXPECT_GT(hist->count(), 0u);
+        EXPECT_EQ(summary.count, hist->count());
+        EXPECT_EQ(summary.minTicks, hist->minValue());
+        EXPECT_EQ(summary.meanTicks, hist->mean());
+        EXPECT_EQ(summary.maxTicks, hist->maxValue());
+        EXPECT_EQ(summary.p50Ticks, hist->quantile(0.50));
+        EXPECT_EQ(summary.p99Ticks, hist->quantile(0.99));
+    }
+}
+
 TEST(XbarLatency, AppearsInTextAndJsonStatDumps) {
     Harness h;
     h.reqA->issueAt(0, makeReadPacket(0x0, 64));
@@ -99,13 +127,13 @@ TEST(XbarLatency, AppearsInTextAndJsonStatDumps) {
 
     std::ostringstream os;
     h.sim.dumpStats(os);
-    EXPECT_NE(os.str().find("xbar.latency.a"), std::string::npos);
+    EXPECT_NE(os.str().find("xbar.latencyHist.a"), std::string::npos);
 
     const exp::Json doc = exp::Json::parse(h.sim.dumpStatsJson().dump());
-    const exp::Json& lat = doc.at("xbar").at("latency.a");
+    const exp::Json& lat = doc.at("xbar").at("latencyHist.a");
     EXPECT_EQ(lat.at("count").asInt(), 1);
     EXPECT_GT(lat.at("mean").asDouble(), 0.0);
-    EXPECT_TRUE(lat.contains("stddev"));
+    EXPECT_TRUE(lat.contains("p99"));
 }
 
 }  // namespace

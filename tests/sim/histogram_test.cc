@@ -225,6 +225,28 @@ TEST(Histogram, EdgeCasesAndClamping) {
     EXPECT_DOUBLE_EQ(d.quantile(0.5), 0.0);
 }
 
+// Latencies measured in absolute ticks late in a long run ride on a large
+// common offset. Count, min and max are exact integers and the mean is one
+// sum/count division, so small deltas on top of the offset survive exactly.
+TEST(Histogram, LargeTickOffsetKeepsExactMeanMinMax) {
+    HistogramData h;
+    constexpr std::uint64_t kOffset = 1'000'000'000'000;  // 1e12 ticks.
+    for (const std::uint64_t delta : {4u, 7u, 13u, 16u}) h.sampleInt(kOffset + delta);
+    EXPECT_EQ(h.count(), 4u);
+    EXPECT_EQ(h.minValue(), static_cast<double>(kOffset + 4));
+    EXPECT_EQ(h.maxValue(), static_cast<double>(kOffset + 16));
+    EXPECT_EQ(h.mean(), static_cast<double>(kOffset + 10));
+    // Quantiles stay inside the observed range.
+    EXPECT_GE(h.p50(), h.minValue());
+    EXPECT_LE(h.p999(), h.maxValue());
+
+    // Two samples whose mean falls on a half tick.
+    h.reset();
+    h.sampleInt(kOffset + 1);
+    h.sampleInt(kOffset + 2);
+    EXPECT_EQ(h.mean(), static_cast<double>(kOffset) + 1.5);
+}
+
 TEST(Histogram, GroupWrapperRegistersAndDumps) {
     Group g{"xbar"};
     Histogram& h = g.histogram("latencyHist.cpu0", "round-trip ticks");

@@ -1,7 +1,7 @@
-// Statistics framework: scalars, formulas, distributions, lookup and dumps.
+// Statistics framework: scalars, formulas, histograms, lookup and dumps.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <cstdint>
 #include <sstream>
 
 #include "exp/json.hh"
@@ -39,20 +39,6 @@ TEST(Stats, FormulaEvaluatesLazily) {
     EXPECT_DOUBLE_EQ(ipc.value(), 4.0);
 }
 
-TEST(Stats, DistributionTracksMoments) {
-    stats::Group g{"grp"};
-    auto& d = g.distribution("lat", "latency");
-    for (const double v : {1.0, 2.0, 3.0, 4.0}) d.sample(v);
-    EXPECT_EQ(d.count(), 4u);
-    EXPECT_DOUBLE_EQ(d.mean(), 2.5);
-    EXPECT_DOUBLE_EQ(d.minValue(), 1.0);
-    EXPECT_DOUBLE_EQ(d.maxValue(), 4.0);
-    EXPECT_NEAR(d.variance(), 1.25, 1e-12);
-    d.reset();
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_EQ(d.mean(), 0.0);
-}
-
 TEST(Stats, GroupFindQualifiesNames) {
     stats::Group g{"cpu0"};
     auto& s = g.scalar("commits", "committed");
@@ -81,41 +67,11 @@ TEST(Stats, SimulationWideLookup) {
     EXPECT_EQ(sim.findStat("sys.cpu0"), nullptr);
 }
 
-// Regression for the catastrophic-cancellation bug: with a naive
-// sum-of-squares accumulator, latency-like samples riding on a large common
-// offset (absolute ticks late in a long run) cancel to garbage — or a
-// negative variance. Welford's algorithm keeps the exact small variance.
-TEST(Stats, DistributionVarianceSurvivesLargeOffset) {
-    stats::Group g{"grp"};
-    auto& d = g.distribution("lat", "latency");
-    for (const double delta : {4.0, 7.0, 13.0, 16.0}) d.sample(1e9 + delta);
-    // Population variance of {4,7,13,16} (mean 10): (36+9+9+36)/4 = 22.5.
-    EXPECT_NEAR(d.variance(), 22.5, 1e-6);
-    EXPECT_NEAR(d.stddev(), std::sqrt(22.5), 1e-6);
-    EXPECT_GE(d.variance(), 0.0);
-    EXPECT_DOUBLE_EQ(d.mean(), 1e9 + 10.0);
-
-    // Even larger offsets must still never go negative.
-    d.reset();
-    for (const double delta : {1.0, 2.0}) d.sample(1e15 + delta);
-    EXPECT_GE(d.variance(), 0.0);
-    EXPECT_NEAR(d.variance(), 0.25, 1e-3);
-}
-
-TEST(Stats, SingleSampleHasZeroVariance) {
-    stats::Group g{"grp"};
-    auto& d = g.distribution("lat", "latency");
-    EXPECT_DOUBLE_EQ(d.variance(), 0.0);  // Empty.
-    d.sample(123.0);
-    EXPECT_DOUBLE_EQ(d.variance(), 0.0);  // One sample.
-    EXPECT_DOUBLE_EQ(d.stddev(), 0.0);
-}
-
 TEST(Stats, GroupDumpJsonRoundTrips) {
     stats::Group g{"mem"};
     g.scalar("reads", "read count") += 3;
-    auto& d = g.distribution("lat", "latency");
-    for (const double v : {10.0, 20.0, 30.0}) d.sample(v);
+    auto& h = g.histogram("lat", "latency");
+    for (const std::uint64_t v : {10u, 20u, 30u}) h.sampleInt(v);
 
     // Serialize then re-parse through the same exp/json model CI uses.
     const exp::Json doc = exp::Json::parse(g.dumpJson().dump());
@@ -125,48 +81,37 @@ TEST(Stats, GroupDumpJsonRoundTrips) {
     EXPECT_DOUBLE_EQ(lat.at("min").asDouble(), 10.0);
     EXPECT_DOUBLE_EQ(lat.at("mean").asDouble(), 20.0);
     EXPECT_DOUBLE_EQ(lat.at("max").asDouble(), 30.0);
-    EXPECT_NEAR(lat.at("stddev").asDouble(), std::sqrt(200.0 / 3.0), 1e-9);
+    EXPECT_DOUBLE_EQ(lat.at("p50").asDouble(), 20.0);
 }
 
 TEST(Stats, DumpJsonEmptyDistributionEmitsZeros) {
-    // A never-sampled distribution must serialize as zeros, not as its
-    // internal min/max sentinels (DBL_MAX / lowest) — downstream JSON
-    // consumers treat min > max as corruption.
+    // A never-sampled histogram must serialize as zeros, not as its internal
+    // min/max sentinels (UINT64_MAX / 0) — downstream JSON consumers treat
+    // min > max as corruption.
     stats::Group g{"mem"};
-    g.distribution("lat", "latency");
     g.histogram("latHist", "latency histogram");
     const exp::Json doc = exp::Json::parse(g.dumpJson().dump());
-    const exp::Json& lat = doc.at("lat");
-    EXPECT_EQ(lat.at("count").asInt(), 0);
-    EXPECT_DOUBLE_EQ(lat.at("min").asDouble(), 0.0);
-    EXPECT_DOUBLE_EQ(lat.at("mean").asDouble(), 0.0);
-    EXPECT_DOUBLE_EQ(lat.at("max").asDouble(), 0.0);
-    EXPECT_DOUBLE_EQ(lat.at("stddev").asDouble(), 0.0);
     const exp::Json& hist = doc.at("latHist");
     EXPECT_EQ(hist.at("count").asInt(), 0);
     EXPECT_DOUBLE_EQ(hist.at("min").asDouble(), 0.0);
+    EXPECT_DOUBLE_EQ(hist.at("mean").asDouble(), 0.0);
+    EXPECT_DOUBLE_EQ(hist.at("max").asDouble(), 0.0);
     EXPECT_DOUBLE_EQ(hist.at("p50").asDouble(), 0.0);
     EXPECT_DOUBLE_EQ(hist.at("p999").asDouble(), 0.0);
 }
 
 TEST(Stats, DumpJsonSingleSampleCollapsesToThatValue) {
     stats::Group g{"mem"};
-    auto& d = g.distribution("lat", "latency");
-    d.sample(42.0);
     auto& h = g.histogram("latHist", "latency histogram");
     h.sampleInt(42);
     const exp::Json doc = exp::Json::parse(g.dumpJson().dump());
-    for (const char* key : {"lat", "latHist"}) {
-        const exp::Json& j = doc.at(key);
-        EXPECT_EQ(j.at("count").asInt(), 1) << key;
-        EXPECT_DOUBLE_EQ(j.at("min").asDouble(), 42.0) << key;
-        EXPECT_DOUBLE_EQ(j.at("mean").asDouble(), 42.0) << key;
-        EXPECT_DOUBLE_EQ(j.at("max").asDouble(), 42.0) << key;
+    const exp::Json& j = doc.at("latHist");
+    EXPECT_EQ(j.at("count").asInt(), 1);
+    // Every summary field and every quantile of a one-sample histogram is
+    // that sample.
+    for (const char* key : {"min", "mean", "max", "p50", "p90", "p99", "p999"}) {
+        EXPECT_DOUBLE_EQ(j.at(key).asDouble(), 42.0) << key;
     }
-    EXPECT_DOUBLE_EQ(doc.at("lat").at("stddev").asDouble(), 0.0);
-    // All quantiles of a one-sample histogram are that sample.
-    EXPECT_DOUBLE_EQ(doc.at("latHist").at("p50").asDouble(), 42.0);
-    EXPECT_DOUBLE_EQ(doc.at("latHist").at("p999").asDouble(), 42.0);
 }
 
 TEST(Stats, FindScalesAsIndexNotScan) {
