@@ -138,8 +138,10 @@ StatsDiffReport diffBenchDocuments(const exp::Json& baseline, const exp::Json& c
         std::unordered_map<std::string_view, double> curByName;
         for (const auto& [name, value] : curMetrics) curByName.emplace(name, value);
 
+        std::unordered_set<std::string_view> baseNames;
         for (const auto& [name, baseValue] : baseMetrics) {
             if (isConfigIntKey(name) || isExcludedMetric(name)) continue;
+            baseNames.insert(name);
             const auto cit = curByName.find(name);
             if (cit == curByName.end()) {
                 report.violations.push_back(
@@ -147,6 +149,12 @@ StatsDiffReport diffBenchDocuments(const exp::Json& baseline, const exp::Json& c
                 continue;
             }
             compareMetric(opts, id, name, baseValue, cit->second, report);
+        }
+        for (const auto& [name, curValue] : curMetrics) {
+            if (isConfigIntKey(name) || isExcludedMetric(name)) continue;
+            if (baseNames.contains(name)) continue;
+            report.violations.push_back(
+                StatsDiffViolation{id, name, 0, curValue, 0, 0, "unexpected metric"});
         }
     }
     return report;
@@ -159,17 +167,25 @@ StatsDiffReport diffTimelines(const MetricsTimeline& baseline,
     report.comparable = true;
     report.pointsCompared = 1;
 
+    const std::vector<std::string> baseChannels = baseline.channels();
     const std::vector<std::string> curChannels = current.channels();
+    const std::unordered_set<std::string_view> baseSet(baseChannels.begin(),
+                                                       baseChannels.end());
     const std::unordered_set<std::string_view> curSet(curChannels.begin(),
                                                       curChannels.end());
-    for (const std::string& channel : baseline.channels()) {
+    for (const std::string& channel : baseChannels) {
         const double baseValue = baseline.finalValue(channel);
-        if (curSet.find(channel) == curSet.end()) {
+        if (!curSet.contains(channel)) {
             report.violations.push_back(
                 StatsDiffViolation{"", channel, baseValue, 0, 0, 0, "missing metric"});
             continue;
         }
         compareMetric(opts, "", channel, baseValue, current.finalValue(channel), report);
+    }
+    for (const std::string& channel : curChannels) {
+        if (baseSet.contains(channel)) continue;
+        report.violations.push_back(StatsDiffViolation{
+            "", channel, 0, current.finalValue(channel), 0, 0, "unexpected metric"});
     }
     return report;
 }
@@ -327,6 +343,16 @@ int usage() {
     return 2;
 }
 
+/// A relative threshold: the whole of @p text is a number >= 0 (so no NaN,
+/// no sign, no trailing characters).
+bool parseThreshold(const char* text, double& out) {
+    char* end = nullptr;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !(v >= 0.0)) return false;
+    out = v;
+    return true;
+}
+
 /// What kind of stats file is this? BENCH documents are one JSON object;
 /// timelines are JSONL whose first line carries the g5rMetrics marker.
 enum class FileKind { kBench, kTimeline, kUnknown };
@@ -472,19 +498,21 @@ int statsCliMain(int argc, const char* const* argv) {
     if (cmd == "diff") {
         StatsDiffOptions opts;
         std::string basePath, curPath;
+        // Bare --metric NAME entries take the final --threshold, wherever
+        // it appears on the command line.
+        std::vector<std::size_t> bareMetrics;
         for (int i = 2; i < argc; ++i) {
             if (std::strcmp(argv[i], "--threshold") == 0 && i + 1 < argc) {
-                opts.defaultThreshold = std::strtod(argv[++i], nullptr);
+                if (!parseThreshold(argv[++i], opts.defaultThreshold)) return usage();
             } else if (std::strcmp(argv[i], "--metric") == 0 && i + 1 < argc) {
                 const std::string spec = argv[++i];
                 const auto eq = spec.find('=');
                 MetricThreshold t;
+                t.match = spec.substr(0, eq);
                 if (eq == std::string::npos) {
-                    t.match = spec;
-                    t.threshold = opts.defaultThreshold;
-                } else {
-                    t.match = spec.substr(0, eq);
-                    t.threshold = std::strtod(spec.c_str() + eq + 1, nullptr);
+                    bareMetrics.push_back(opts.perMetric.size());
+                } else if (!parseThreshold(spec.c_str() + eq + 1, t.threshold)) {
+                    return usage();
                 }
                 opts.perMetric.push_back(std::move(t));
             } else if (argv[i][0] == '-') {
@@ -498,6 +526,9 @@ int statsCliMain(int argc, const char* const* argv) {
             }
         }
         if (curPath.empty()) return usage();
+        for (const std::size_t idx : bareMetrics) {
+            opts.perMetric[idx].threshold = opts.defaultThreshold;
+        }
         return runDiff(basePath, curPath, opts);
     }
 

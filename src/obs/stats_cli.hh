@@ -21,7 +21,9 @@
 //     memLatency*, normalizedPerf) are deterministic and do compare.
 //   * A point or metric present in the baseline but missing from the
 //     current document is a violation (silent metric loss must not pass a
-//     gate); current-only additions are ignored (schemas may grow).
+//     gate). So is a metric present only in the current point ("unexpected
+//     metric"): a port that goes from no traffic to some must not pass
+//     either. Excluded metrics and config keys are exempt both ways.
 //   * Exit status mirrors g5r-diff: 0 = within thresholds, 1 = violations,
 //     2 = usage / unreadable input.
 #pragma once
@@ -56,7 +58,8 @@ struct StatsDiffViolation {
     double current = 0;
     double relDelta = 0;
     double threshold = 0;
-    std::string note;    ///< "missing point" / "missing metric" when structural.
+    std::string note;    ///< "missing point" / "missing metric" /
+                         ///< "unexpected metric" when structural.
 };
 
 struct StatsDiffReport {

@@ -138,10 +138,31 @@ TEST(StatsDiff, StructuralLossesAreViolations) {
     EXPECT_EQ(missingMetric.violations[0].note, "missing metric");
     EXPECT_EQ(missingMetric.violations[0].metric, "memLatencyP99");
 
-    // Current-only additions are fine (schemas may grow).
+    // The reverse: a metric only current carries is a violation too, so a
+    // port that goes from no traffic (no row) to some cannot pass silently.
     exp::Json extraPoint = makePoint(1e6);
     extraPoint["memLatencyP999"] = 999999.0;
-    EXPECT_TRUE(diffBenchDocuments(base, docWithPoint(std::move(extraPoint)),
+    exp::Json newRow = exp::Json::object();
+    newRow["count"] = std::uint64_t{1};
+    extraPoint["memLatency"]["cpu0.dcache"] = std::move(newRow);
+    const StatsDiffReport extraMetric = diffBenchDocuments(
+        base, docWithPoint(std::move(extraPoint)), StatsDiffOptions{});
+    ASSERT_EQ(extraMetric.violations.size(), 2u)
+        << formatStatsDiffReport(extraMetric, "b", "c");
+    EXPECT_EQ(extraMetric.violations[0].note, "unexpected metric");
+    EXPECT_EQ(extraMetric.violations[0].metric, "memLatency.cpu0.dcache.count");
+    EXPECT_EQ(extraMetric.violations[1].note, "unexpected metric");
+    EXPECT_EQ(extraMetric.violations[1].metric, "memLatencyP999");
+    EXPECT_DOUBLE_EQ(extraMetric.violations[1].current, 999999.0);
+    EXPECT_NE(formatStatsDiffReport(extraMetric, "b", "c").find("unexpected metric"),
+              std::string::npos);
+
+    // Excluded (host-dependent) metrics stay exempt in that direction too.
+    exp::Json exemptPoint = makePoint(1e6);
+    exemptPoint["sweepWallSeconds"] = 3.0;
+    exemptPoint["profileBuckets"] = exp::Json::object();
+    exemptPoint["profileBuckets"]["rtl"] = 0.5;
+    EXPECT_TRUE(diffBenchDocuments(base, docWithPoint(std::move(exemptPoint)),
                                    StatsDiffOptions{})
                     .withinThresholds());
 
@@ -190,6 +211,12 @@ TEST(StatsDiff, TimelinesCompareByFinalValue) {
     const StatsDiffReport loss = diffTimelines(base, lossy, StatsDiffOptions{});
     ASSERT_EQ(loss.violations.size(), 1u);
     EXPECT_EQ(loss.violations[0].note, "missing metric");
+
+    // And the reverse: a channel only current carries is unexpected.
+    const StatsDiffReport gain = diffTimelines(lossy, base, StatsDiffOptions{});
+    ASSERT_EQ(gain.violations.size(), 1u);
+    EXPECT_EQ(gain.violations[0].note, "unexpected metric");
+    EXPECT_EQ(gain.violations[0].metric, "bus.latencyHist.cpu0.p99");
 }
 
 TEST(StatsCli, DiffExitCodesMatchTheGateContract) {
@@ -214,6 +241,49 @@ TEST(StatsCli, DiffExitCodesMatchTheGateContract) {
     EXPECT_EQ(run({"percentiles", basePath.c_str()}), 0);
 
     for (const std::string& p : {basePath, samePath, worsePath}) std::remove(p.c_str());
+}
+
+int runCli(std::vector<const char*> argv) {
+    argv.insert(argv.begin(), "g5r-stats");
+    return statsCliMain(static_cast<int>(argv.size()), argv.data());
+}
+
+// A bare --metric NAME takes the final --threshold, whichever side of it
+// that flag appears on.
+TEST(StatsCli, BareMetricTakesTheFinalThreshold) {
+    const std::string basePath = writeDoc("cli_bare_base.json", benchDoc(1e6));
+    const std::string worsePath = writeDoc("cli_bare_worse.json", benchDoc(1.1e6));
+    const char* base = basePath.c_str();
+    const char* worse = worsePath.c_str();
+
+    // +10% runtimeTicks passes the 0.25 default...
+    EXPECT_EQ(runCli({"diff", base, worse, "--metric", "runtimeTicks"}), 0);
+    // ...and fails a 0 threshold in either argument order.
+    EXPECT_EQ(runCli({"diff", base, worse, "--threshold", "0", "--metric", "runtimeTicks"}), 1);
+    EXPECT_EQ(runCli({"diff", base, worse, "--metric", "runtimeTicks", "--threshold", "0"}), 1);
+    // An explicit NAME=F is kept as given.
+    EXPECT_EQ(
+        runCli({"diff", base, worse, "--metric", "runtimeTicks=0.2", "--threshold", "0"}), 0);
+
+    for (const std::string& p : {basePath, worsePath}) std::remove(p.c_str());
+}
+
+TEST(StatsCli, MalformedThresholdsAreUsageErrors) {
+    const std::string basePath = writeDoc("cli_bad_base.json", benchDoc(1e6));
+    const char* base = basePath.c_str();
+
+    for (const char* bad : {"abc", "0.25x", "", "-0.1", "nan", "NaN"}) {
+        SCOPED_TRACE(std::string{"value \""} + bad + '"');
+        EXPECT_EQ(runCli({"diff", base, base, "--threshold", bad}), 2);
+        const std::string spec = std::string{"runtimeTicks="} + bad;
+        EXPECT_EQ(runCli({"diff", base, base, "--metric", spec.c_str()}), 2);
+    }
+    // Well-formed values still parse.
+    EXPECT_EQ(runCli({"diff", base, base, "--threshold", "0"}), 0);
+    EXPECT_EQ(runCli({"diff", base, base, "--threshold", "1e-13"}), 0);
+    EXPECT_EQ(runCli({"diff", base, base, "--metric", "meanTicks=1e-13"}), 0);
+
+    std::remove(basePath.c_str());
 }
 
 TEST(StatsCli, RenderersProduceReadableOutput) {
