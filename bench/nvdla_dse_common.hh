@@ -304,6 +304,7 @@ inline void writeDseBenchJson(const DseResults& results, const std::string& benc
         if (!p.memLatency.empty()) {
             exp::Json lat = exp::Json::object();
             for (const auto& [suffix, s] : p.memLatency) {
+                if (s.count == 0) continue;  // A master that saw no traffic.
                 exp::Json one = exp::Json::object();
                 one["count"] = s.count;
                 one["minTicks"] = s.minTicks;
