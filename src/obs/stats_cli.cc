@@ -343,8 +343,8 @@ int usage() {
     return 2;
 }
 
-/// A relative threshold: the whole of @p text is a number >= 0 (so no NaN,
-/// no sign, no trailing characters).
+/// A relative threshold: the whole of @p text must parse as a number >= 0,
+/// so NaN, negatives and trailing characters are rejected.
 bool parseThreshold(const char* text, double& out) {
     char* end = nullptr;
     const double v = std::strtod(text, &end);

@@ -85,9 +85,9 @@ private:
 /// integers, which gives arbitrary quantile queries (p50/p90/p99/p999) and
 /// lossless merging across instances (per-master latency histograms fold
 /// into one SoC-wide histogram by adding bucket counts). Count, min and max
-/// are exact; the mean is sum/count, so samples riding on a large common
-/// offset (absolute ticks late in a long run) lose no precision to a
-/// running update.
+/// are exact integers, and the mean is one sum/count division (exact while
+/// the sum stays below 2^53), so samples riding on a large common offset,
+/// such as absolute ticks late in a long run, keep their small deltas.
 ///
 /// This is a plain copyable value type; the Stat wrapper below registers it
 /// in a Group. Samples are non-negative magnitudes (ticks, queue depths);

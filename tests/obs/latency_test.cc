@@ -58,8 +58,6 @@ TEST(XbarLatency, DistributionCountsEveryRoundTrip) {
     ASSERT_NE(histB, nullptr);
     EXPECT_EQ(histA->count(), kA);
     EXPECT_EQ(histB->count(), kB);
-    // Each round trip is recorded once, in the histogram alone.
-    EXPECT_EQ(h.sim.findStat("xbar.latency.a"), nullptr);
 
     // Round trips take at least the memory latency, and the summary is
     // ordered sanely.
@@ -80,23 +78,9 @@ TEST(XbarLatency, WritebacksDoNotSampleLatency) {
     EXPECT_EQ(hist->count(), 0u);
 }
 
+// One summary per cpu-side port, in registration order, with every field
+// read from that port's histogram.
 TEST(XbarLatency, PortLatenciesSummarisesEveryMaster) {
-    Harness h;
-    for (int i = 0; i < 4; ++i) h.reqA->issueAt(0, makeReadPacket(64 * i, 64));
-    h.sim.run();
-
-    const auto latencies = obs::portLatencies(h.xbar->statsGroup());
-    ASSERT_EQ(latencies.size(), 2u);  // One summary per cpu-side port.
-    const auto* a = &latencies[0];
-    if (a->first != "a") a = &latencies[1];
-    ASSERT_EQ(a->first, "a");
-    EXPECT_EQ(a->second.count, 4u);
-    EXPECT_LE(a->second.minTicks, a->second.meanTicks);
-    EXPECT_LE(a->second.meanTicks, a->second.maxTicks);
-}
-
-// Every LatencySummary field is read from the port's one histogram.
-TEST(XbarLatency, PortLatenciesEqualTheHistogram) {
     Harness h;
     for (int i = 0; i < 6; ++i) h.reqA->issueAt(100 * i, makeReadPacket(64 * i, 64));
     for (int i = 0; i < 2; ++i) h.reqB->issueAt(0, makeReadPacket(0x8000 + 64 * i, 64));
@@ -104,13 +88,14 @@ TEST(XbarLatency, PortLatenciesEqualTheHistogram) {
 
     const auto latencies = obs::portLatencies(h.xbar->statsGroup());
     ASSERT_EQ(latencies.size(), 2u);
-    EXPECT_EQ(latencies[0].first, "a");  // Registration order.
+    EXPECT_EQ(latencies[0].first, "a");
     EXPECT_EQ(latencies[1].first, "b");
+    EXPECT_EQ(latencies[0].second.count, 6u);
+    EXPECT_EQ(latencies[1].second.count, 2u);
     for (const auto& [suffix, summary] : latencies) {
         SCOPED_TRACE(suffix);
         const auto* hist = latencyHist(h, ("xbar.latencyHist." + suffix).c_str());
         ASSERT_NE(hist, nullptr);
-        EXPECT_GT(hist->count(), 0u);
         EXPECT_EQ(summary.count, hist->count());
         EXPECT_EQ(summary.minTicks, hist->minValue());
         EXPECT_EQ(summary.meanTicks, hist->mean());

@@ -3,7 +3,6 @@
 // the zero-cost disabled path, and degradation on an unopenable path.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -113,11 +112,6 @@ TEST(Metrics, DeltasAndResetsReconstruct) {
     EXPECT_DOUBLE_EQ(tl2.finalValue("sys.dev.latHist.count"), 100.0);
     EXPECT_GE(tl2.finalValue("sys.dev.latHist.p50"), 50.0);
     EXPECT_LE(tl2.finalValue("sys.dev.latHist.p99"), 100.0);
-    EXPECT_LE(tl2.finalValue("sys.dev.latHist.p99"),
-              tl2.finalValue("sys.dev.latHist.p999"));
-    // A histogram emits no mean/max channels of its own.
-    const auto channels = tl2.channels();
-    EXPECT_EQ(std::count(channels.begin(), channels.end(), "sys.dev.latHist.mean"), 0);
     std::remove(path.c_str());
 }
 

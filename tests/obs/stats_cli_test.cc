@@ -219,33 +219,28 @@ TEST(StatsDiff, TimelinesCompareByFinalValue) {
     EXPECT_EQ(gain.violations[0].metric, "bus.latencyHist.cpu0.p99");
 }
 
+int runCli(std::vector<const char*> argv) {
+    argv.insert(argv.begin(), "g5r-stats");
+    return statsCliMain(static_cast<int>(argv.size()), argv.data());
+}
+
 TEST(StatsCli, DiffExitCodesMatchTheGateContract) {
     const std::string basePath = writeDoc("cli_base.json", benchDoc(1e6));
     const std::string samePath = writeDoc("cli_same.json", benchDoc(1e6));
     const std::string worsePath = writeDoc("cli_worse.json", benchDoc(1.6e6));
 
-    const auto run = [](std::vector<const char*> argv) {
-        argv.insert(argv.begin(), "g5r-stats");
-        return statsCliMain(static_cast<int>(argv.size()), argv.data());
-    };
-
-    EXPECT_EQ(run({"diff", basePath.c_str(), samePath.c_str()}), 0);
-    EXPECT_EQ(run({"diff", basePath.c_str(), worsePath.c_str()}), 1);
-    EXPECT_EQ(run({"diff", basePath.c_str(), worsePath.c_str(), "--threshold", "0.7"}), 0);
-    EXPECT_EQ(run({"diff", basePath.c_str(), worsePath.c_str(), "--metric",
-                   "runtimeTicks=0.9"}),
+    EXPECT_EQ(runCli({"diff", basePath.c_str(), samePath.c_str()}), 0);
+    EXPECT_EQ(runCli({"diff", basePath.c_str(), worsePath.c_str()}), 1);
+    EXPECT_EQ(runCli({"diff", basePath.c_str(), worsePath.c_str(), "--threshold", "0.7"}), 0);
+    EXPECT_EQ(runCli({"diff", basePath.c_str(), worsePath.c_str(), "--metric",
+                      "runtimeTicks=0.9"}),
               0);
-    EXPECT_EQ(run({"diff", basePath.c_str()}), 2);             // Missing operand.
-    EXPECT_EQ(run({"diff", basePath.c_str(), "/no/such"}), 2);  // Unreadable.
-    EXPECT_EQ(run({"frobnicate"}), 2);                          // Unknown command.
-    EXPECT_EQ(run({"percentiles", basePath.c_str()}), 0);
+    EXPECT_EQ(runCli({"diff", basePath.c_str()}), 2);              // Missing operand.
+    EXPECT_EQ(runCli({"diff", basePath.c_str(), "/no/such"}), 2);  // Unreadable.
+    EXPECT_EQ(runCli({"frobnicate"}), 2);                          // Unknown command.
+    EXPECT_EQ(runCli({"percentiles", basePath.c_str()}), 0);
 
     for (const std::string& p : {basePath, samePath, worsePath}) std::remove(p.c_str());
-}
-
-int runCli(std::vector<const char*> argv) {
-    argv.insert(argv.begin(), "g5r-stats");
-    return statsCliMain(static_cast<int>(argv.size()), argv.data());
 }
 
 // A bare --metric NAME takes the final --threshold, whichever side of it
