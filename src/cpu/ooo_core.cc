@@ -1,6 +1,7 @@
 #include "cpu/ooo_core.hh"
 
 #include <algorithm>
+#include <bit>
 
 namespace g5r {
 
@@ -28,6 +29,8 @@ OooCore::OooCore(Simulation& sim, std::string objName, const OooCoreParams& para
       statLsqFullStalls_(stats_.scalar("lsqFullStalls", "rename stalled: LDQ/STQ full")),
       statSleepCycles_(stats_.scalar("sleepCycles", "cycles spent in sleep syscalls")) {
     rat_.fill(kNoProducer);
+    rob_.resize(std::bit_ceil(std::size_t{params_.robEntries}));
+    robMask_ = rob_.size() - 1;
     stats_.formula("ipc", "committed instructions per cycle", [this] {
         return numCycles_ > 0 ? static_cast<double>(numCommitted_) /
                                     static_cast<double>(numCycles_)
@@ -91,22 +94,15 @@ void OooCore::tick() {
 
 // --------------------------------------------------------------- helpers --
 
-OooCore::RobEntry* OooCore::findRob(Seq seq) {
-    // The ROB is seq-sorted; binary search.
-    auto it = std::lower_bound(rob_.begin(), rob_.end(), seq,
-                               [](const RobEntry& e, Seq s) { return e.seq < s; });
-    return (it != rob_.end() && it->seq == seq) ? &*it : nullptr;
-}
-
 bool OooCore::operandReady(Seq producer) const {
     if (producer == kNoProducer) return true;
-    const RobEntry* e = const_cast<OooCore*>(this)->findRob(producer);
+    const RobEntry* e = findRob(producer);
     return e == nullptr /* already committed */ || e->completed;
 }
 
 std::uint64_t OooCore::operandValue(unsigned archReg, Seq producer) const {
     if (producer != kNoProducer) {
-        const RobEntry* e = const_cast<OooCore*>(this)->findRob(producer);
+        const RobEntry* e = findRob(producer);
         if (e != nullptr) {
             simAssert(e->completed, "operand read before producer completed");
             return e->result;
@@ -140,8 +136,8 @@ void OooCore::commitStage() {
         }
     };
 
-    while (committed < params_.commitWidth && !rob_.empty()) {
-        RobEntry& head = rob_.front();
+    while (committed < params_.commitWidth && robHead_ != nextSeq_) {
+        RobEntry& head = rob_[robHead_ & robMask_];
         if (!head.completed) break;
 
         // Program termination waits for every committed store to drain, so
@@ -189,7 +185,7 @@ void OooCore::commitStage() {
             if (rat_[head.instr.rd] == head.seq) rat_[head.instr.rd] = kNoProducer;
         }
 
-        rob_.pop_front();
+        ++robHead_;
         ++committed;
         ++numCommitted_;
         ++statCommitted_;
@@ -225,37 +221,35 @@ void OooCore::completeStage() {
     std::sort(completions_.begin(), completions_.end(),
               [](const Completion& a, const Completion& b) { return a.seq < b.seq; });
 
-    std::vector<Completion> remaining;
-    remaining.reserve(completions_.size());
-    bool squashed = false;
-    for (auto& c : completions_) {
+    // Compact in place: the first `kept` slots hold completions not yet due.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < completions_.size(); ++i) {
+        const Completion c = completions_[i];
         if (c.cycle > cycle_) {
-            remaining.push_back(c);
+            completions_[kept++] = c;
             continue;
         }
         RobEntry* rob = findRob(c.seq);
-        if (rob == nullptr) continue;  // Squashed while in flight.
+        simAssert(rob != nullptr, "completion with no ROB entry");
         rob->completed = true;
 
-        if (rob->instr.isControl() && rob->actualNext != rob->predictedNext && !squashed) {
+        if (rob->instr.isControl() && rob->actualNext != rob->predictedNext) {
+            // Every later completion is younger and dies with the squash:
+            // drop them and stop, rather than walk a vector that
+            // squashAfter() shrinks.
+            completions_.resize(kept);
             ++statMispredicts_;
             squashAfter(rob->seq, rob->actualNext);
-            squashed = true;  // Younger completions vanish with the squash.
+            return;
         }
     }
-    // Keep only completions that survived any squash.
-    if (squashed) {
-        std::erase_if(remaining, [this](const Completion& c) { return findRob(c.seq) == nullptr; });
-    }
-    completions_ = std::move(remaining);
+    completions_.resize(kept);
 }
 
 void OooCore::squashAfter(Seq seq, std::uint64_t newFetchPc) {
-    std::size_t squashCount = 0;
-    while (!rob_.empty() && rob_.back().seq > seq) {
-        rob_.pop_back();
-        ++squashCount;
-    }
+    // Pop younger ROB entries and hand their seqs out again (see rob_).
+    std::size_t squashCount = nextSeq_ - (seq + 1);
+    nextSeq_ = seq + 1;
     std::erase_if(iq_, [seq](Seq s) { return s > seq; });
     while (!ldq_.empty() && ldq_.back().seq > seq) ldq_.pop_back();
     while (!stq_.empty() && stq_.back().seq > seq) stq_.pop_back();
@@ -276,8 +270,9 @@ void OooCore::squashAfter(Seq seq, std::uint64_t newFetchPc) {
 
 void OooCore::repairRatAfterSquash() {
     rat_.fill(kNoProducer);
-    for (const RobEntry& e : rob_) {
-        if (e.instr.writesRd()) rat_[e.instr.rd] = e.seq;
+    for (Seq s = robHead_; s != nextSeq_; ++s) {
+        const RobEntry& e = rob_[s & robMask_];
+        if (e.instr.writesRd()) rat_[e.instr.rd] = s;
     }
 }
 
@@ -314,7 +309,7 @@ bool OooCore::tryIssueLoad(RobEntry& rob, LdqEntry& ldq) {
     // read them, so the access is non-speculative and sees current state.
     for (const AddrRange& range : params_.stronglyOrdered) {
         if (range.contains(ldq.addr)) {
-            if (rob_.empty() || rob_.front().seq != rob.seq) return false;
+            if (rob.seq != robHead_) return false;
             break;
         }
     }
@@ -368,18 +363,18 @@ bool OooCore::tryIssueLoad(RobEntry& rob, LdqEntry& ldq) {
 void OooCore::issueStage() {
     unsigned issued = 0;
     unsigned memIssued = 0;
-    std::vector<Seq> survivors;
-    survivors.reserve(iq_.size());
-
-    for (const Seq seq : iq_) {
+    // Compact in place: the first `kept` slots hold entries still waiting.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < iq_.size(); ++i) {
+        const Seq seq = iq_[i];
         if (issued >= params_.width) {
-            survivors.push_back(seq);
+            iq_[kept++] = seq;
             continue;
         }
         RobEntry* rob = findRob(seq);
         simAssert(rob != nullptr, "IQ entry with no ROB entry");
         if (!operandReady(rob->producer1) || !operandReady(rob->producer2)) {
-            survivors.push_back(seq);
+            iq_[kept++] = seq;
             continue;
         }
 
@@ -394,7 +389,7 @@ void OooCore::issueStage() {
                 ldqIt->addrReady = true;
             }
             if (memIssued >= params_.memIssuePerCycle || !tryIssueLoad(*rob, *ldqIt)) {
-                survivors.push_back(seq);
+                iq_[kept++] = seq;
                 continue;
             }
             ++memIssued;
@@ -416,7 +411,7 @@ void OooCore::issueStage() {
         rob->issued = true;
         ++issued;
     }
-    iq_ = std::move(survivors);
+    iq_.resize(kept);
 }
 
 // ---------------------------------------------------------------- rename --
@@ -427,7 +422,7 @@ void OooCore::renameStage() {
         const DynInstr& dyn = fetchQueue_.front();
         if (dyn.readyCycle > cycle_) break;
 
-        if (rob_.size() >= params_.robEntries) {
+        if (nextSeq_ - robHead_ >= params_.robEntries) {
             ++statRobFullStalls_;
             break;
         }
@@ -444,7 +439,8 @@ void OooCore::renameStage() {
             break;
         }
 
-        RobEntry rob;
+        RobEntry& rob = rob_[nextSeq_ & robMask_];
+        rob = RobEntry{};
         rob.instr = dyn.instr;
         rob.pc = dyn.pc;
         rob.seq = nextSeq_++;
@@ -467,7 +463,6 @@ void OooCore::renameStage() {
         if (in.isStore()) stq_.push_back(StqEntry{rob.seq, 0, 0, 0, false});
 
         iq_.push_back(rob.seq);
-        rob_.push_back(std::move(rob));
         fetchQueue_.pop_front();
         ++renamed;
     }

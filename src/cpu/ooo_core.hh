@@ -18,6 +18,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cpu/bpred.hh"
@@ -183,7 +184,14 @@ private:
     bool recvIcacheResp(PacketPtr& pkt);
     bool recvDcacheResp(PacketPtr& pkt);
 
-    RobEntry* findRob(Seq seq);
+    /// The live ROB entry for @p seq, or nullptr once it has committed (or
+    /// for kNoProducer). One unsigned compare covers both ends of the range.
+    const RobEntry* findRob(Seq seq) const {
+        return seq - robHead_ < nextSeq_ - robHead_ ? &rob_[seq & robMask_] : nullptr;
+    }
+    RobEntry* findRob(Seq seq) {
+        return const_cast<RobEntry*>(std::as_const(*this).findRob(seq));
+    }
     bool operandReady(Seq producer) const;
     std::uint64_t operandValue(unsigned archReg, Seq producer) const;
     void squashAfter(Seq seq, std::uint64_t newFetchPc);
@@ -233,7 +241,15 @@ private:
     void requestFetchLine(std::uint64_t lineAddr);
 
     // ---- backend ----
-    std::deque<RobEntry> rob_;
+    /// The ROB, a ring indexed by sequence number: the live entries are
+    /// exactly seqs [robHead_, nextSeq_), entry s at rob_[s & robMask_]. A
+    /// squash rewinds nextSeq_, so squashed seqs are handed out again;
+    /// that is safe because squashAfter() purges every other holder of a
+    /// seq (iq_, ldq_, stq_, completions_, loadsInFlight_), and live
+    /// entries only name older, unsquashed producers.
+    std::vector<RobEntry> rob_;
+    Seq robMask_ = 0;
+    Seq robHead_ = 0;
     std::vector<Seq> iq_;  ///< Seqs waiting to issue (age-ordered).
     std::deque<LdqEntry> ldq_;
     std::deque<StqEntry> stq_;

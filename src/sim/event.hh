@@ -7,6 +7,7 @@
 // deterministic for a fixed program.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -53,7 +54,7 @@ private:
     friend class EventQueue;
     Tick when_ = 0;
     int priority_ = static_cast<int>(EventPriority::kClockTick);
-    std::uint64_t generation_ = 0;  ///< Bumped on (de)schedule to invalidate stale heap entries.
+    std::size_t heapIndex_ = 0;     ///< Slot in the queue's heap while scheduled.
     bool scheduled_ = false;
     EventQueue* queue_ = nullptr;   ///< Queue the event is currently scheduled on.
 };

@@ -16,25 +16,40 @@ bool EventQueue::laterThan(const Entry& a, const Entry& b) {
 }
 
 void EventQueue::siftUp(std::size_t idx) {
+    const Entry moving = heap_[idx];
     while (idx > 0) {
         const std::size_t parent = (idx - 1) / 2;
-        if (!laterThan(heap_[parent], heap_[idx])) break;
-        std::swap(heap_[parent], heap_[idx]);
+        if (!laterThan(heap_[parent], moving)) break;
+        place(idx, heap_[parent]);
         idx = parent;
     }
+    place(idx, moving);
 }
 
 void EventQueue::siftDown(std::size_t idx) {
+    const Entry moving = heap_[idx];
     const std::size_t n = heap_.size();
     while (true) {
         const std::size_t left = 2 * idx + 1;
+        if (left >= n) break;
         const std::size_t right = left + 1;
-        std::size_t smallest = idx;
-        if (left < n && laterThan(heap_[smallest], heap_[left])) smallest = left;
-        if (right < n && laterThan(heap_[smallest], heap_[right])) smallest = right;
-        if (smallest == idx) break;
-        std::swap(heap_[idx], heap_[smallest]);
-        idx = smallest;
+        const std::size_t child =
+            right < n && laterThan(heap_[left], heap_[right]) ? right : left;
+        if (!laterThan(moving, heap_[child])) break;
+        place(idx, heap_[child]);
+        idx = child;
+    }
+    place(idx, moving);
+}
+
+void EventQueue::removeAt(std::size_t idx) {
+    heap_[idx] = heap_.back();
+    heap_.pop_back();
+    if (idx == heap_.size()) return;  // It was the last slot.
+    if (idx > 0 && laterThan(heap_[(idx - 1) / 2], heap_[idx])) {
+        siftUp(idx);
+    } else {
+        siftDown(idx);
     }
 }
 
@@ -44,18 +59,15 @@ void EventQueue::schedule(Event& ev, Tick when) {
     ev.when_ = when;
     ev.scheduled_ = true;
     ev.queue_ = this;
-    ++ev.generation_;
-    heap_.push_back(Entry{when, ev.priority_, nextSequence_++, ev.generation_, &ev});
+    heap_.push_back(Entry{when, ev.priority_, nextSequence_++, &ev});
     siftUp(heap_.size() - 1);
-    ++liveEvents_;
 }
 
 void EventQueue::deschedule(Event& ev) {
     simAssert(ev.scheduled_, "deschedule() on an idle event");
     simAssert(ev.queue_ == this, "deschedule() on the wrong queue");
+    removeAt(ev.heapIndex_);
     ev.scheduled_ = false;
-    ++ev.generation_;  // Invalidates the heap entry; it is dropped lazily.
-    --liveEvents_;
 }
 
 void EventQueue::reschedule(Event& ev, Tick when) {
@@ -63,30 +75,15 @@ void EventQueue::reschedule(Event& ev, Tick when) {
     schedule(ev, when);
 }
 
-void EventQueue::popStale() {
-    while (!heap_.empty()) {
-        const Entry& top = heap_.front();
-        const bool live = top.event->scheduled_ && top.event->generation_ == top.generation;
-        if (live) return;
-        std::swap(heap_.front(), heap_.back());
-        heap_.pop_back();
-        if (!heap_.empty()) siftDown(0);
-    }
-}
-
 Tick EventQueue::nextTick() {
-    popStale();
     simAssert(!heap_.empty(), "nextTick() on an empty queue");
     return heap_.front().when;
 }
 
 void EventQueue::serviceOne() {
-    popStale();
     simAssert(!heap_.empty(), "serviceOne() on an empty queue");
     const Entry top = heap_.front();
-    std::swap(heap_.front(), heap_.back());
-    heap_.pop_back();
-    if (!heap_.empty()) siftDown(0);
+    removeAt(0);
 
     Event& ev = *top.event;
     simAssert(top.when >= curTick_, "event queue went backwards");
@@ -97,8 +94,6 @@ void EventQueue::serviceOne() {
         passedPriority_ = top.priority;
     }
     ev.scheduled_ = false;
-    ++ev.generation_;
-    --liveEvents_;
     ++numProcessed_;
     if (observer_ == nullptr) {
         ev.process();

@@ -1,6 +1,7 @@
-// The central event queue: a lazy-deletion binary heap over (tick, priority,
-// sequence). Descheduling marks the event's live heap entry stale via a
-// generation counter rather than removing it, keeping all operations O(log n).
+// The central event queue: an indexed binary heap over (tick, priority,
+// sequence). Each scheduled event knows its heap slot, so descheduling (and
+// destroying a scheduled event) removes its entry at once in O(log n): no
+// heap entry ever outlives its event.
 #pragma once
 
 #include <cstdint>
@@ -32,11 +33,12 @@ public:
     /// Move an already-scheduled (or idle) event to a new tick.
     void reschedule(Event& ev, Tick when);
 
-    /// True when no live events remain.
-    bool empty() const { return liveEvents_ == 0; }
+    /// True when no events remain.
+    bool empty() const { return heap_.empty(); }
 
-    /// Tick of the next live event. Queue must not be empty. Non-const:
-    /// lazily drops stale (descheduled) heap entries from the top.
+    /// Tick of the next event. Queue must not be empty. Non-const by
+    /// contract (NextTickRegression pins it): a queue may reorganise
+    /// itself on a peek.
     Tick nextTick();
 
     /// Pop and process the next event, advancing curTick.
@@ -67,7 +69,7 @@ public:
     std::uint64_t numProcessed() const { return numProcessed_; }
 
     /// Number of currently scheduled events.
-    std::uint64_t numPending() const { return liveEvents_; }
+    std::uint64_t numPending() const { return heap_.size(); }
 
     /// Observer wrapped around every dispatch (nullptr = off, the fast
     /// path: one predictable branch per event). Installed by
@@ -80,14 +82,18 @@ private:
         Tick when;
         int priority;
         std::uint64_t sequence;
-        std::uint64_t generation;
         Event* event;
     };
 
     static bool laterThan(const Entry& a, const Entry& b);
+    /// Write @p entry into slot @p idx and tell its event where it lives.
+    void place(std::size_t idx, const Entry& entry) {
+        heap_[idx] = entry;
+        entry.event->heapIndex_ = idx;
+    }
     void siftUp(std::size_t idx);
     void siftDown(std::size_t idx);
-    void popStale();
+    void removeAt(std::size_t idx);
 
     /// Sentinel for passedPriority_: the whole tick is behind us.
     static constexpr int kAllPriorities = std::numeric_limits<int>::max();
@@ -102,7 +108,6 @@ private:
     int passedPriority_ = -1;
     std::uint64_t nextSequence_ = 0;
     std::uint64_t numProcessed_ = 0;
-    std::uint64_t liveEvents_ = 0;
 };
 
 }  // namespace g5r

@@ -1,8 +1,10 @@
 // Differential fuzzing: pseudo-random programs run on the OoO timing core
 // must produce exactly the architectural state the functional golden model
 // produces — registers and memory. Programs mix ALU ops, loads/stores of
-// all widths into a sandboxed region, and forward branches (so termination
-// is guaranteed by construction).
+// all widths into a sandboxed region, forward branches, and bounded
+// backward loops (so termination is guaranteed by construction). The loops
+// keep enough work in flight to fill the ROB and to squash on a ring that
+// has wrapped.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -22,9 +24,61 @@ namespace {
 constexpr std::uint64_t kDataBase = 0x10000;
 constexpr std::uint64_t kDataSize = 0x1000;
 
+/// Emit one straight-line instruction (sequence) of case kind @p kind < 9:
+/// ALU register-register, ALU immediate, shift-immediate, load or store.
+void emitStraight(std::ostringstream& os, Rng& rng, std::uint64_t kind) {
+    auto reg = [&] { return 5 + rng.below(11); };  // x5..x15.
+    switch (kind) {
+    case 0: case 1: case 2: {  // ALU register-register.
+        static const char* kOps[] = {"add", "sub", "and", "or",  "xor", "sll",
+                                     "srl", "sra", "slt", "sltu", "mul", "div",
+                                     "rem"};
+        os << "  " << kOps[rng.below(13)] << " x" << reg() << ", x" << reg()
+           << ", x" << reg() << "\n";
+        break;
+    }
+    case 3: case 4: case 5: {  // ALU immediate.
+        static const char* kOps[] = {"addi", "andi", "ori", "xori", "slti"};
+        os << "  " << kOps[rng.below(5)] << " x" << reg() << ", x" << reg() << ", "
+           << static_cast<std::int64_t>(rng.below(8192)) - 4096 << "\n";
+        break;
+    }
+    case 6: {  // Shift-immediate (bounded shamt).
+        static const char* kOps[] = {"slli", "srli", "srai"};
+        os << "  " << kOps[rng.below(3)] << " x" << reg() << ", x" << reg() << ", "
+           << rng.below(63) << "\n";
+        break;
+    }
+    case 7: {  // Load (sandboxed address in x20).
+        static const std::pair<const char*, unsigned> kLoads[] = {
+            {"ld", 0xFF8}, {"lw", 0xFFC}, {"lb", 0xFFF}};
+        const auto& [op, mask] = kLoads[rng.below(3)];
+        os << "  andi x20, x" << reg() << ", " << mask << "\n"
+           << "  li x21, " << kDataBase << "\n"
+           << "  add x20, x20, x21\n"
+           << "  " << op << " x" << reg() << ", 0(x20)\n";
+        break;
+    }
+    default: {  // Store.
+        static const std::pair<const char*, unsigned> kStores[] = {
+            {"sd", 0xFF8}, {"sw", 0xFFC}, {"sb", 0xFFF}};
+        const auto& [op, mask] = kStores[rng.below(3)];
+        os << "  andi x20, x" << reg() << ", " << mask << "\n"
+           << "  li x21, " << kDataBase << "\n"
+           << "  add x20, x20, x21\n"
+           << "  " << op << " x" << reg() << ", 0(x20)\n";
+        break;
+    }
+    }
+}
+
 /// Generate a random but well-formed, terminating program.
 std::string generateProgram(std::uint64_t seed, unsigned length) {
     Rng rng{seed};
+    // Loops draw from their own stream, so every other instruction of a
+    // seed's program is the one it generated before loops existed.
+    Rng loopRng{seed ^ 0x100Bull};
+    unsigned nextLoop = 0;
     std::ostringstream os;
     // Seed registers with arbitrary values.
     for (unsigned r = 5; r <= 15; ++r) {
@@ -45,57 +99,31 @@ std::string generateProgram(std::uint64_t seed, unsigned length) {
         }
         pendingLabels.erase(i);
         ++emitted;
-        switch (rng.below(10)) {
-        case 0: case 1: case 2: {  // ALU register-register.
-            static const char* kOps[] = {"add", "sub", "and", "or",  "xor", "sll",
-                                         "srl", "sra", "slt", "sltu", "mul", "div",
-                                         "rem"};
-            os << "  " << kOps[rng.below(13)] << " x" << reg() << ", x" << reg()
-               << ", x" << reg() << "\n";
-            break;
+        if (loopRng.below(8) == 0) {
+            // Bounded backward loop: x22 counts 2..33 iterations down to
+            // zero and a bne closes it. The body is 1..12 straight-line
+            // instructions, so no branch leaves the loop.
+            const unsigned label = nextLoop++;
+            os << "  li x22, " << 2 + loopRng.below(32) << "\n"
+               << "B" << label << ":\n";
+            for (std::uint64_t n = 1 + loopRng.below(12); n > 0; --n) {
+                emitStraight(os, loopRng, loopRng.below(9));
+            }
+            os << "  addi x22, x22, -1\n"
+               << "  bne x22, x0, B" << label << "\n";
         }
-        case 3: case 4: case 5: {  // ALU immediate.
-            static const char* kOps[] = {"addi", "andi", "ori", "xori", "slti"};
-            os << "  " << kOps[rng.below(5)] << " x" << reg() << ", x" << reg() << ", "
-               << static_cast<std::int64_t>(rng.below(8192)) - 4096 << "\n";
-            break;
+        const std::uint64_t kind = rng.below(10);
+        if (kind < 9) {
+            emitStraight(os, rng, kind);
+            continue;
         }
-        case 6: {  // Shift-immediate (bounded shamt).
-            static const char* kOps[] = {"slli", "srli", "srai"};
-            os << "  " << kOps[rng.below(3)] << " x" << reg() << ", x" << reg() << ", "
-               << rng.below(63) << "\n";
-            break;
-        }
-        case 7: {  // Load (sandboxed address in x20).
-            static const std::pair<const char*, unsigned> kLoads[] = {
-                {"ld", 0xFF8}, {"lw", 0xFFC}, {"lb", 0xFFF}};
-            const auto& [op, mask] = kLoads[rng.below(3)];
-            os << "  andi x20, x" << reg() << ", " << mask << "\n"
-               << "  li x21, " << kDataBase << "\n"
-               << "  add x20, x20, x21\n"
-               << "  " << op << " x" << reg() << ", 0(x20)\n";
-            break;
-        }
-        case 8: {  // Store.
-            static const std::pair<const char*, unsigned> kStores[] = {
-                {"sd", 0xFF8}, {"sw", 0xFFC}, {"sb", 0xFFF}};
-            const auto& [op, mask] = kStores[rng.below(3)];
-            os << "  andi x20, x" << reg() << ", " << mask << "\n"
-               << "  li x21, " << kDataBase << "\n"
-               << "  add x20, x20, x21\n"
-               << "  " << op << " x" << reg() << ", 0(x20)\n";
-            break;
-        }
-        default: {  // Forward branch over 1..5 upcoming instructions.
-            static const char* kOps[] = {"beq", "bne", "blt", "bge", "bltu", "bgeu"};
-            const unsigned label = nextLabel++;
-            const unsigned target = i + 1 + static_cast<unsigned>(rng.below(5));
-            pendingLabels.emplace(std::min(target, length), label);
-            os << "  " << kOps[rng.below(6)] << " x" << reg() << ", x" << reg() << ", L"
-               << label << "\n";
-            break;
-        }
-        }
+        // Forward branch over 1..5 upcoming instructions.
+        static const char* kOps[] = {"beq", "bne", "blt", "bge", "bltu", "bgeu"};
+        const unsigned label = nextLabel++;
+        const unsigned target = i + 1 + static_cast<unsigned>(rng.below(5));
+        pendingLabels.emplace(std::min(target, length), label);
+        os << "  " << kOps[rng.below(6)] << " x" << reg() << ", x" << reg() << ", L"
+           << label << "\n";
     }
     // Flush any labels that point past the end.
     for (const auto& [idx, label] : pendingLabels) os << "L" << label << ":\n";
@@ -146,14 +174,20 @@ struct FuzzHarness {
     std::unique_ptr<SimpleMemory> mem;
 };
 
-class CoreFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+/// What the timing core's stats saw during one fuzzed run.
+struct CoreCoverage {
+    double squashedInsts = 0;
+    double robFullStalls = 0;
+};
 
-TEST_P(CoreFuzz, RandomProgramMatchesGoldenModel) {
-    const std::string source = generateProgram(GetParam(), 150);
+/// Run @p seed's program on the timing core and on the functional golden
+/// model, and require identical registers and memory.
+void runAgainstGoldenModel(std::uint64_t seed, CoreCoverage& coverage) {
+    const std::string source = generateProgram(seed, 150);
     const isa::Program prog = isa::assemble(source);
 
     // Pre-fill the data region identically on both sides.
-    Rng fill{GetParam() ^ 0xF00D};
+    Rng fill{seed ^ 0xF00D};
     FuzzHarness timing{prog};
     BackingStore golden;
     for (std::size_t i = 0; i < prog.code.size(); ++i) {
@@ -169,25 +203,47 @@ TEST_P(CoreFuzz, RandomProgramMatchesGoldenModel) {
     ASSERT_EQ(ref.run(10'000'000), isa::StopReason::kHalted) << source;
 
     const RunResult run = timing.sim.run(10'000'000'000ULL);
-    ASSERT_EQ(run.cause, ExitCause::kSimExit)
-        << "timing core did not halt; seed " << GetParam();
+    ASSERT_EQ(run.cause, ExitCause::kSimExit) << "timing core did not halt; seed " << seed;
 
     EXPECT_EQ(timing.core->committedInstructions(), ref.instructionsRetired())
-        << "seed " << GetParam();
+        << "seed " << seed;
     for (unsigned r = 1; r < isa::kNumRegs; ++r) {
         ASSERT_EQ(timing.core->archReg(r), ref.state().read(r))
-            << "x" << r << " differs; seed " << GetParam() << "\n" << source;
+            << "x" << r << " differs; seed " << seed << "\n" << source;
     }
     for (std::uint64_t a = 0; a < kDataSize; a += 8) {
         ASSERT_EQ(timing.memRead(kDataBase + a), golden.load<std::uint64_t>(kDataBase + a))
             << "mem[0x" << std::hex << (kDataBase + a) << "] differs; seed " << std::dec
-            << GetParam();
+            << seed;
     }
+    const stats::Group& st = timing.core->statsGroup();
+    coverage.squashedInsts = st.find("squashedInsts")->value();
+    coverage.robFullStalls = st.find("robFullStalls")->value();
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, CoreFuzz,
-                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 10u,
-                                           101u, 202u, 303u, 404u, 505u));
+constexpr std::uint64_t kSeeds[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 101, 202, 303, 404, 505};
+
+class CoreFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CoreFuzz, RandomProgramMatchesGoldenModel) {
+    CoreCoverage coverage;
+    runAgainstGoldenModel(GetParam(), coverage);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CoreFuzz, ::testing::ValuesIn(kSeeds));
+
+TEST(CoreFuzzCoverage, SomeSeedFillsTheRobAndSquashes) {
+    // The backward loops are there to keep a loop body in flight until the
+    // ROB fills and a squash lands on a ring that has wrapped. At least one
+    // seed must show both, or the fuzzer no longer reaches the ROB's edges.
+    unsigned reached = 0;
+    for (const std::uint64_t seed : kSeeds) {
+        CoreCoverage coverage;
+        ASSERT_NO_FATAL_FAILURE(runAgainstGoldenModel(seed, coverage));
+        if (coverage.squashedInsts > 0 && coverage.robFullStalls > 0) ++reached;
+    }
+    EXPECT_GE(reached, 1u);
+}
 
 }  // namespace
 }  // namespace g5r

@@ -2,6 +2,11 @@
 // simulation driver's exit conditions.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <new>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/event.hh"
@@ -112,6 +117,78 @@ TEST(EventQueue, ManyEventsStressOrdering) {
     while (!q.empty()) q.serviceOne();
     EXPECT_TRUE(monotone);
     EXPECT_EQ(q.numProcessed(), 1000u);
+}
+
+TEST(EventQueue, DescheduleFromAnywhereKeepsOrder) {
+    // Removal from the middle of the heap must leave the (tick, insertion)
+    // order of every remaining event intact.
+    EventQueue q;
+    std::vector<int> fired;
+    std::vector<std::unique_ptr<CallbackEvent>> events;
+    for (int i = 0; i < 300; ++i) {
+        events.push_back(
+            std::make_unique<CallbackEvent>([&fired, i] { fired.push_back(i); }, "ev"));
+    }
+    std::uint64_t x = 777;
+    std::uint64_t order = 0;
+    std::map<std::pair<Tick, std::uint64_t>, int> expected;  // (tick, order) -> id.
+    std::vector<std::pair<Tick, std::uint64_t>> keyOf(events.size());
+    const auto scheduleAt = [&](std::size_t i, bool re) {
+        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+        const Tick when = (x >> 33) % 100;
+        if (re) {
+            expected.erase(keyOf[i]);
+            q.reschedule(*events[i], when);
+        } else {
+            q.schedule(*events[i], when);
+        }
+        keyOf[i] = {when, order++};
+        expected[keyOf[i]] = static_cast<int>(i);
+    };
+    for (std::size_t i = 0; i < events.size(); ++i) scheduleAt(i, false);
+    for (std::size_t i = 0; i < events.size(); i += 3) {
+        q.deschedule(*events[i]);
+        expected.erase(keyOf[i]);
+    }
+    for (std::size_t i = 1; i < events.size(); i += 6) scheduleAt(i, true);
+    EXPECT_EQ(q.numPending(), 200u);
+
+    while (!q.empty()) q.serviceOne();
+    std::vector<int> want;
+    for (const auto& [key, id] : expected) want.push_back(id);
+    EXPECT_EQ(fired, want);
+}
+
+// A destroyed event must take its heap entry with it, whether it is
+// destroyed while scheduled or after a deschedule. The dead event's storage
+// is then reused for a fresh event, as an allocator may do: a dangling entry
+// would fire the newcomer at the dead event's tick.
+TEST(EventQueue, DestroyedEventLeavesNoHeapEntry) {
+    for (const bool descheduleFirst : {false, true}) {
+        EventQueue q;
+        std::vector<std::pair<std::string, Tick>> fired;
+        const auto recorder = [&](std::string name) {
+            return [&fired, &q, name] { fired.emplace_back(name, q.curTick()); };
+        };
+        alignas(CallbackEvent) unsigned char storage[sizeof(CallbackEvent)];
+        auto* dead = new (storage) CallbackEvent{recorder("dead"), "dead"};
+        CallbackEvent other{recorder("other"), "other"};
+        q.schedule(*dead, 10);
+        q.schedule(other, 20);
+        if (descheduleFirst) q.deschedule(*dead);
+        dead->~CallbackEvent();
+        EXPECT_EQ(q.numPending(), 1u);
+
+        auto* fresh = new (storage) CallbackEvent{recorder("fresh"), "fresh"};
+        q.schedule(*fresh, 30);
+        EXPECT_EQ(q.nextTick(), 20u);
+        while (!q.empty()) q.serviceOne();
+        fresh->~CallbackEvent();
+
+        using Fired = std::vector<std::pair<std::string, Tick>>;
+        EXPECT_EQ(fired, (Fired{{"other", 20}, {"fresh", 30}}))
+            << "descheduleFirst=" << descheduleFirst;
+    }
 }
 
 TEST(Simulation, RunsUntilQueueEmpty) {
