@@ -162,7 +162,7 @@ void OooCore::commitStage() {
             ldq_.pop_front();
             ++statLoads_;
         } else if (head.instr.isSyscall()) {
-            commitSyscall(head);
+            commitSyscall();
             if (halted_) {  // Exit syscall: it still counts as committed.
                 ++committed;
                 ++numCommitted_;
@@ -195,7 +195,7 @@ void OooCore::commitStage() {
     flushPulses();
 }
 
-void OooCore::commitSyscall(const RobEntry& rob) {
+void OooCore::commitSyscall() {
     const auto num = static_cast<isa::Syscall>(archState_.read(17));
     switch (num) {
     case isa::Syscall::kExit:

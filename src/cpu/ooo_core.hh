@@ -199,7 +199,7 @@ private:
     void executeInstr(RobEntry& rob);
     unsigned executionLatency(const isa::Instr& in) const;
     bool tryIssueLoad(RobEntry& rob, LdqEntry& ldq);
-    void commitSyscall(const RobEntry& rob);
+    void commitSyscall();
     void haltCore();
     void scheduleNextCycle();
 

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 namespace g5r::lint {
@@ -13,7 +14,8 @@ using rtl::RegBase;
 struct Walk {
     /// Hierarchical path -> how many registers/modules claim it.
     std::map<std::string, unsigned> pathCount;
-    std::vector<std::pair<std::string, const RegBase*>> regs;  ///< Path, reg.
+    /// Path, width, clock edges latched by the owning module.
+    std::vector<std::tuple<std::string, unsigned, std::uint64_t>> regs;
     std::uint64_t maxLatches = 0;
 };
 
@@ -23,8 +25,8 @@ void walk(const Module& module, const std::string& prefix, Walk& w) {
     for (const RegBase* reg : module.registers()) {
         const std::string regPath = path + "." + reg->name();
         ++w.pathCount[regPath];
-        w.regs.emplace_back(regPath, reg);
-        if (reg->latchCount() > w.maxLatches) w.maxLatches = reg->latchCount();
+        w.regs.emplace_back(regPath, reg->width(), module.latchCount());
+        if (module.latchCount() > w.maxLatches) w.maxLatches = module.latchCount();
     }
     for (const Module* child : module.children()) walk(*child, path, w);
 }
@@ -45,17 +47,17 @@ Report run(const Module& root) {
                     {}, {path});
         }
     }
-    for (const auto& [path, reg] : w.regs) {
-        if (reg->width() == 0) {
+    for (const auto& [path, width, latches] : w.regs) {
+        if (width == 0) {
             rep.add("G5R-KRNL-ZERO-WIDTH", Severity::kError,
                     "register '" + path + "' declares zero width", {}, {path});
         }
     }
     // Only meaningful once the design has ticked at least once: before any
-    // latch, every register trivially has latchCount == 0.
+    // clock edge, every module trivially has latchCount == 0.
     if (w.maxLatches > 0) {
-        for (const auto& [path, reg] : w.regs) {
-            if (reg->latchCount() == 0) {
+        for (const auto& [path, width, latches] : w.regs) {
+            if (latches == 0) {
                 rep.add("G5R-KRNL-NEVER-LATCHED", Severity::kWarning,
                         "register '" + path + "' never latched although the "
                         "design has; is its module missing from the tick path?",

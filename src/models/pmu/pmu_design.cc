@@ -9,13 +9,9 @@ PmuDesign::PmuDesign()
       thresholdSel_(*this, "threshold_sel", 8),
       irq_(*this, "irq", 1),
       resetWindow_(*this, "reset_window", 8) {
-    counters_.reserve(kNumCounters);
-    captureStage_.reserve(kNumCounters);
     for (unsigned i = 0; i < kNumCounters; ++i) {
-        counters_.push_back(std::make_unique<rtl::Reg<std::uint32_t>>(
-            *this, "counter" + std::to_string(i), 32));
-        captureStage_.push_back(std::make_unique<rtl::Reg<std::uint32_t>>(
-            *this, "capture" + std::to_string(i), 32));
+        counters_.emplace_back(*this, "counter" + std::to_string(i), 32);
+        captureStage_.emplace_back(*this, "capture" + std::to_string(i), 32);
     }
 }
 
@@ -26,22 +22,22 @@ void PmuDesign::evalComb() {
     // post-interrupt reset window is active (artefact ii).
     for (unsigned i = 0; i < kNumCounters; ++i) {
         const bool enabled = ((enableMask_.q() >> i) & 1u) != 0;
-        captureStage_[i]->setD((enabled && !inReset) ? eventsIn[i] : 0);
+        captureStage_[i].setD((enabled && !inReset) ? eventsIn[i] : 0);
     }
 
     // Count stage: counters see last cycle's captured pulses (artefact i).
     for (unsigned i = 0; i < kNumCounters; ++i) {
-        counters_[i]->setD(counters_[i]->q() + captureStage_[i]->q());
+        counters_[i].setD(counters_[i].q() + captureStage_[i].q());
     }
 
     if (inReset) resetWindow_.setD(static_cast<std::uint8_t>(resetWindow_.q() - 1));
 
     // Threshold check on the selected counter's next value.
     const unsigned sel = thresholdSel_.q() % kNumCounters;
-    const std::uint64_t nextSel = counters_[sel]->q() + captureStage_[sel]->q();
+    const std::uint64_t nextSel = counters_[sel].q() + captureStage_[sel].q();
     if (threshold_.q() != 0 && nextSel >= threshold_.q()) {
         irq_.setD(1);
-        counters_[sel]->setD(0);
+        counters_[sel].setD(0);
         resetWindow_.setD(kResetWindowCycles);
     }
 
@@ -49,7 +45,7 @@ void PmuDesign::evalComb() {
     if (cfgWriteValid) {
         const std::uint64_t addr = cfgWriteAddr & 0xFFF;
         if (addr >= kCounterBase && addr < kCounterBase + 8 * kNumCounters && addr % 8 == 0) {
-            counters_[addr / 8]->setD(static_cast<std::uint32_t>(cfgWriteData));
+            counters_[addr / 8].setD(static_cast<std::uint32_t>(cfgWriteData));
         } else if (addr == kEnableReg) {
             enableMask_.setD(static_cast<std::uint32_t>(cfgWriteData));
         } else if (addr == kThresholdReg) {
@@ -59,7 +55,7 @@ void PmuDesign::evalComb() {
         } else if (addr == kIrqStatusReg) {
             irq_.setD(0);  // Any write clears the interrupt.
         } else if (addr == kControlReg && (cfgWriteData & 1) != 0) {
-            for (auto& c : counters_) c->setD(0);
+            for (auto& c : counters_) c.setD(0);
         }
     }
 }
@@ -68,12 +64,12 @@ bool PmuDesign::quiescent() const {
     if (resetWindow_.q() != 0) return false;   // Window decrements per cycle.
     if (enableMask_.q() != 0) return false;    // Enabled lines count cycles/pulses.
     for (const auto& c : captureStage_) {
-        if (c->q() != 0) return false;         // In-flight pulse not yet counted.
+        if (c.q() != 0) return false;          // In-flight pulse not yet counted.
     }
     // A met threshold re-fires every cycle (reset counter, open window).
     const unsigned sel = thresholdSel_.q() % kNumCounters;
     if (threshold_.q() != 0 &&
-        counters_[sel]->q() + captureStage_[sel]->q() >= threshold_.q()) {
+        counters_[sel].q() + captureStage_[sel].q() >= threshold_.q()) {
         return false;
     }
     return true;
@@ -82,7 +78,7 @@ bool PmuDesign::quiescent() const {
 std::uint64_t PmuDesign::readReg(std::uint64_t addrIn) const {
     const std::uint64_t addr = addrIn & 0xFFF;
     if (addr >= kCounterBase && addr < kCounterBase + 8 * kNumCounters && addr % 8 == 0) {
-        return counters_[addr / 8]->q();
+        return counters_[addr / 8].q();
     }
     if (addr == kEnableReg) return enableMask_.q();
     if (addr == kThresholdReg) return threshold_.q();

@@ -21,8 +21,7 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
-#include <vector>
+#include <deque>
 
 #include "rtl/kernel.hh"
 
@@ -59,7 +58,7 @@ public:
     /// Combinational register read of the current state.
     std::uint64_t readReg(std::uint64_t addr) const;
 
-    std::uint32_t counterValue(unsigned idx) const { return counters_[idx]->q(); }
+    std::uint32_t counterValue(unsigned idx) const { return counters_[idx].q(); }
     bool irqAsserted() const { return irq_.q() != 0; }
 
     /// True when a cycle with no config write and no event pulses leaves
@@ -69,8 +68,9 @@ public:
     bool quiescent() const;
 
 private:
-    std::vector<std::unique_ptr<rtl::Reg<std::uint32_t>>> counters_;
-    std::vector<std::unique_ptr<rtl::Reg<std::uint32_t>>> captureStage_;  ///< Artefact (i).
+    // A module holds its registers' addresses, so they are built in place.
+    std::deque<rtl::Reg<std::uint32_t>> counters_;
+    std::deque<rtl::Reg<std::uint32_t>> captureStage_;  ///< Artefact (i).
     rtl::Reg<std::uint32_t> enableMask_;
     rtl::Reg<std::uint64_t> threshold_;
     rtl::Reg<std::uint8_t> thresholdSel_;

@@ -7,7 +7,9 @@
 //
 //   * Reg<T>: a flip-flop with separate current (q) and next (d) values.
 //     Reads during eval() observe q; writes set d; the kernel latches all
-//     registers after eval(), giving race-free two-phase semantics.
+//     registers after eval(), giving race-free two-phase semantics. The
+//     values live zero-extended in RegBase's plain q/d/reset fields, so a
+//     latch is a field copy with no virtual dispatch, as in Verilator.
 //   * Module: a named hierarchy node. evalComb() computes next state;
 //     tick() = evalComb() + latch of every register in the subtree.
 //   * Registers self-register with their owning module, which also gives
@@ -16,6 +18,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -24,70 +27,52 @@ namespace g5r::rtl {
 
 class Module;
 
-/// Type-erased flip-flop interface: latch d into q, report value for VCD.
+/// Untyped view of one flip-flop: what the kernel loops, VCD and lint read.
 class RegBase {
 public:
-    RegBase(Module& owner, std::string name, unsigned widthBits);
+    RegBase(Module& owner, std::string name, unsigned widthBits, std::uint64_t resetBits);
     RegBase(const RegBase&) = delete;
     RegBase& operator=(const RegBase&) = delete;
-    virtual ~RegBase() = default;
 
     const std::string& name() const { return name_; }
     unsigned width() const { return width_; }
+    std::uint64_t valueBits() const { return q_; }
 
-    /// q <- d. Non-virtual so every latch is counted: the static-analysis
-    /// pass in src/lint/kernel_lint flags registers that never latched
-    /// (G5R-KRNL-NEVER-LATCHED) after a design has ticked.
-    void latch() {
-        ++latchCount_;
-        doLatch();
-    }
-    std::uint64_t latchCount() const { return latchCount_; }
-
-    virtual void holdDefault() = 0;  ///< d <- q, the implicit "else hold".
-    virtual void resetState() = 0;
-    virtual std::uint64_t valueBits() const = 0;
+    /// q <- d at once, outside any clock edge (e.g. a config write that
+    /// takes effect immediately). Not counted as a latched edge.
+    void latch() { q_ = d_; }
 
 protected:
-    virtual void doLatch() = 0;
+    std::uint64_t q_;
+    std::uint64_t d_;
 
 private:
+    friend class Module;
+    std::uint64_t reset_;
     std::string name_;
     unsigned width_;
-    std::uint64_t latchCount_ = 0;
 };
 
 /// A register of up to 64 bits. Construct as a member of a Module.
 template <typename T>
 class Reg final : public RegBase {
+    static_assert(std::is_unsigned_v<T> && sizeof(T) <= 8, "Reg<T> is up to 64 unsigned bits");
+
 public:
     Reg(Module& owner, std::string name, unsigned widthBits = sizeof(T) * 8,
         T resetValue = T{})
-        : RegBase(owner, std::move(name), widthBits), resetValue_(resetValue),
-          q_(resetValue), d_(resetValue) {}
+        : RegBase(owner, std::move(name), widthBits, resetValue) {}
 
     /// Current (latched) value — what downstream logic sees this cycle.
-    T q() const { return q_; }
-    operator T() const { return q_; }
+    T q() const { return static_cast<T>(q_); }
+    operator T() const { return q(); }
 
     /// Next value, applied at the coming clock edge.
     void setD(T v) { d_ = v; }
-    T d() const { return d_; }
+    T d() const { return static_cast<T>(d_); }
 
     /// Convenience: keep current value unless overwritten later in eval().
     void hold() { d_ = q_; }
-
-    void holdDefault() override { d_ = q_; }
-    void resetState() override { q_ = d_ = resetValue_; }
-    std::uint64_t valueBits() const override { return static_cast<std::uint64_t>(q_); }
-
-protected:
-    void doLatch() override { q_ = d_; }
-
-private:
-    T resetValue_;
-    T q_;
-    T d_;
 };
 
 /// A node in the design hierarchy.
@@ -101,6 +86,10 @@ public:
     const std::string& name() const { return name_; }
     const std::vector<Module*>& children() const { return children_; }
     const std::vector<RegBase*>& registers() const { return registers_; }
+
+    /// Clock edges latched by tick()/commitCycle() here or above; immediate
+    /// RegBase::latch() calls do not count. Read by G5R-KRNL-NEVER-LATCHED.
+    std::uint64_t latchCount() const { return latchCount_; }
 
     /// Combinational evaluation: read q values and inputs, write d values.
     /// Default holds every register; override in leaf modules.
@@ -127,6 +116,7 @@ private:
     std::string name_;
     std::vector<Module*> children_;
     std::vector<RegBase*> registers_;
+    std::uint64_t latchCount_ = 0;
 };
 
 }  // namespace g5r::rtl

@@ -2,9 +2,9 @@
 //
 // Topology (paper Fig. 2):
 //
-//   core[i] -> L1I/L1D -> L2 --\
+//   core[i] -> L1I/L1D -> L2 --+
 //                               >-- system crossbar (NoC) --> LLC bank[0..7]
-//   RTLObject cpu-side  <------/        |                          |
+//   RTLObject cpu-side  <------+        |                          |
 //   (CSB windows routed here)           |                      memory bus
 //                                       |                          |
 //   RTLObject mem-side ----------------------------------------> DRAM

@@ -351,7 +351,9 @@ TEST_P(CoSimTest, SortKernelMatchesGoldenModel) {
             const std::uint64_t v = timingLoad(base + 8 * i);
             ASSERT_EQ(v, ref.load<std::uint64_t>(base + 8 * i))
                 << "mismatch at array 0x" << std::hex << base << " index " << std::dec << i;
-            if (i > 0) EXPECT_LE(prev, v) << "array not sorted";
+            if (i > 0) {
+                EXPECT_LE(prev, v) << "array not sorted";
+            }
             prev = v;
         }
     }

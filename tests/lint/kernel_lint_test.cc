@@ -75,10 +75,37 @@ TEST(KernelLint, NeverLatchedIsSilentBeforeAnyTick) {
 }
 
 TEST(KernelLint, LatchCountsAccumulate) {
+    // The count is clock edges per module: a parent's tick latches its
+    // children too, a child's own commitCycle() does not latch its parent.
     Module top{"top"};
+    Module child{"engine", &top};
     Reg<std::uint32_t> r{top, "r", 32};
+    Reg<std::uint32_t> s{child, "s", 32};
     for (int i = 0; i < 5; ++i) top.tick();
-    EXPECT_EQ(r.latchCount(), 5u);
+    child.beginCycle();
+    child.commitCycle();
+    EXPECT_EQ(top.latchCount(), 5u);
+    EXPECT_EQ(child.latchCount(), 6u);
+}
+
+TEST(KernelLint, ImmediateLatchesDoNotCountAsClockEdges) {
+    // A register written only through the immediate latch() (a config
+    // write) is still outside the tick path once a sibling has ticked.
+    Module top{"top"};
+    Module config{"config", &top};
+    Module engine{"engine", &top};
+    Reg<std::uint8_t> irq{config, "irq", 1};
+    Reg<std::uint32_t> busy{engine, "busy", 32};
+    irq.setD(1);
+    irq.latch();
+    EXPECT_EQ(irq.q(), 1u);
+    EXPECT_EQ(config.latchCount(), 0u);
+    EXPECT_TRUE(run(top).byRule("G5R-KRNL-NEVER-LATCHED").empty());
+    engine.tick();
+    const Report report = run(top);
+    const auto never = report.byRule("G5R-KRNL-NEVER-LATCHED");
+    ASSERT_EQ(never.size(), 1u);
+    EXPECT_EQ(never[0]->nets, std::vector<std::string>{"top.config.irq"});
 }
 
 }  // namespace

@@ -260,8 +260,8 @@ INSTANTIATE_TEST_SUITE_P(Technologies, DramTechSweep,
                          ::testing::Values(MemTech::kDdr4_1ch, MemTech::kDdr4_2ch,
                                            MemTech::kDdr4_4ch, MemTech::kGddr5,
                                            MemTech::kHbm),
-                         [](const auto& info) {
-                             std::string n = memTechName(info.param);
+                         [](const auto& paramInfo) {
+                             std::string n = memTechName(paramInfo.param);
                              for (auto& c : n) if (c == '-') c = '_';
                              return n;
                          });

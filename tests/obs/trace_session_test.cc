@@ -58,7 +58,9 @@ TEST(TraceSession, EmitsParsableChromeTraceDocument) {
     for (const auto& ev : events.items()) {
         EXPECT_TRUE(ev.contains("ph"));
         EXPECT_TRUE(ev.contains("pid"));
-        if (ev.at("ph").asString() != "M") EXPECT_TRUE(ev.contains("ts"));
+        if (ev.at("ph").asString() != "M") {
+            EXPECT_TRUE(ev.contains("ts"));
+        }
     }
 
     // The span ("X") has name/cat/tid/dur and the simulated tick.

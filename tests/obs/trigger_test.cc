@@ -120,7 +120,9 @@ TEST(TriggerCapture, FullPreRingPlusFireAndPostWindow) {
         d.counter = c;
         d.flag = c == 10 ? 1 : 0;
         capture->cycle(c);
-        if (c == 9) EXPECT_FALSE(capture->fired());
+        if (c == 9) {
+            EXPECT_FALSE(capture->fired());
+        }
     }
     EXPECT_TRUE(capture->fired());
     EXPECT_EQ(capture->firedCycle(), 10u);
@@ -160,7 +162,9 @@ TEST(TriggerCapture, ZeroPostWindowClosesOnTheFiringCycle) {
         d.counter = c;
         d.flag = c == 5 ? 1 : 0;
         capture->cycle(c);
-        if (c == 5) EXPECT_TRUE(capture->done());  // Closed immediately.
+        if (c == 5) {
+            EXPECT_TRUE(capture->done());  // Closed immediately.
+        }
     }
     const auto stamps = vcdTimestamps(path);
     const std::vector<std::uint64_t> expected{3, 4, 5};

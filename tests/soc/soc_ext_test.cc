@@ -141,7 +141,9 @@ TEST(MultiProgram, FourCoresSortConcurrently) {
             Packet probe{MemCmd::kReadReq, arrayBase + 8 * i, 8};
             soc.l1d(c).cpuSidePort().recvFunctional(probe);
             const auto v = probe.get<std::uint64_t>();
-            if (i > 0) ASSERT_LE(prev, v) << "core " << c << " index " << i;
+            if (i > 0) {
+                ASSERT_LE(prev, v) << "core " << c << " index " << i;
+            }
             prev = v;
         }
     }
