@@ -32,7 +32,7 @@ Result run(Tick rtlPeriod, MemTech tech) {
     socCfg.numCores = 0;
     Soc soc{sim, socCfg};
 
-    const auto trace = models::makeConvTrace(
+    const auto trace = models::sharedConvTrace(
         "ratio", models::googlenetConv2Shape(), models::NvdlaPlacement{}, 0xC10C);
     RtlObjectParams rp;
     rp.clockPeriod = rtlPeriod;

@@ -14,7 +14,9 @@ RtlObject::RtlObject(Simulation& sim, std::string objName, const RtlObjectParams
       // kRtlTick runs after every same-tick packet delivery and event pulse,
       // so a tick rescheduled by wake() samples exactly the state a
       // free-running tick at the same edge would — the property that makes
-      // idle gating timing-neutral.
+      // idle gating timing-neutral for one object. Among RTL objects on the
+      // same clock it is not: the woken tick's fresh sequence number puts
+      // it after peers that never stopped ticking.
       tickEvent_([this] { tick(); }, name() + ".tick", EventPriority::kRtlTick),
       statTicks_(stats_.scalar("ticks", "RTL clock ticks delivered to the model")),
       statDevReads_(stats_.scalar("devReads", "device-channel reads")),

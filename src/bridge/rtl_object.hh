@@ -56,8 +56,11 @@ struct RtlObjectParams {
     /// Deschedule the RTL tick event while the model reports quiescence
     /// (G5rRtlOutput::idle_hint) and the bridge holds no queued work. Wakes
     /// on device-request arrival, memory response, or an event-bus pulse.
-    /// Timing-neutral by construction (see tick()/wake()); only affects
-    /// host wall-clock. Ignored for pre-v2 models, which lack the hint.
+    /// Timing-neutral for a single RTL object on its clock (see
+    /// tick()/wake()), which is what Table 3's check covers. Two objects
+    /// ticking on the same clock can swap same-tick order: a woken tick
+    /// draws a fresh sequence number and runs after peers that never
+    /// stopped (ROADMAP). Ignored for pre-v2 models, which lack the hint.
     bool gateIdleTicks = true;
 };
 

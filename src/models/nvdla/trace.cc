@@ -1,6 +1,9 @@
 #include "models/nvdla/trace.hh"
 
+#include <map>
+#include <mutex>
 #include <sstream>
+#include <tuple>
 
 #include "models/nvdla/nvdla_design.hh"
 #include "sim/logging.hh"
@@ -40,11 +43,13 @@ NvdlaShape googlenetConv2Shape(unsigned scale) {
     return s;
 }
 
-NvdlaTrace makeConvTrace(std::string name, const NvdlaShape& shape,
-                         const NvdlaPlacement& placement, std::uint64_t seed,
-                         bool sramWeights) {
+namespace {
+
+NvdlaTrace buildConvTrace(const std::string& name, const NvdlaShape& shape,
+                          const NvdlaPlacement& placement, std::uint64_t seed,
+                          bool sramWeights) {
     NvdlaTrace trace;
-    trace.name = std::move(name);
+    trace.name = name;
     trace.shape = shape;
     trace.placement = placement;
     trace.seed = seed;
@@ -85,6 +90,43 @@ NvdlaTrace makeConvTrace(std::string name, const NvdlaShape& shape,
         {NvdlaDesign::kControlReg, 1},  // Start.
     };
     return trace;
+}
+
+/// One cached trace; built at most once, by the first caller to reach it.
+struct TraceSlot {
+    std::once_flag built;
+    std::shared_ptr<const NvdlaTrace> trace;
+};
+
+}  // namespace
+
+std::shared_ptr<const NvdlaTrace> sharedConvTrace(const std::string& name,
+                                                  const NvdlaShape& shape,
+                                                  const NvdlaPlacement& placement,
+                                                  std::uint64_t seed, bool sramWeights) {
+    // The key is every argument. The map lock covers only the lookup: each
+    // trace builds under its own slot's once_flag, so threads building
+    // different traces never wait on each other. Map nodes never move, so a
+    // slot reference outlives the lock.
+    using Key = std::tuple<std::string, NvdlaShape, NvdlaPlacement, std::uint64_t, bool>;
+    static std::mutex mutex;
+    static std::map<Key, TraceSlot> slots;
+    TraceSlot* slot = nullptr;
+    {
+        const std::lock_guard lock{mutex};
+        slot = &slots[Key{name, shape, placement, seed, sramWeights}];
+    }
+    std::call_once(slot->built, [&] {
+        slot->trace = std::make_shared<const NvdlaTrace>(
+            buildConvTrace(name, shape, placement, seed, sramWeights));
+    });
+    return slot->trace;
+}
+
+NvdlaTrace makeConvTrace(std::string name, const NvdlaShape& shape,
+                         const NvdlaPlacement& placement, std::uint64_t seed,
+                         bool sramWeights) {
+    return *sharedConvTrace(name, shape, placement, seed, sramWeights);
 }
 
 std::string serializeTrace(const NvdlaTrace& trace) {

@@ -17,7 +17,9 @@
 // `scale` grows H and W for paper-scale runs (GEM5RTL_FULL).
 #pragma once
 
+#include <compare>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,12 +53,16 @@ struct NvdlaShape {
     std::uint64_t totalTrafficBytes() const {
         return ifmapBytes() * refetch + weightBytes() + ofmapBytes();
     }
+
+    friend auto operator<=>(const NvdlaShape&, const NvdlaShape&) = default;
 };
 
 struct NvdlaPlacement {
     std::uint64_t ifmapBase = 0x2000'0000;
     std::uint64_t weightBase = 0x2800'0000;
     std::uint64_t ofmapBase = 0x3000'0000;
+
+    friend auto operator<=>(const NvdlaPlacement&, const NvdlaPlacement&) = default;
 };
 
 struct NvdlaTrace {
@@ -87,8 +93,19 @@ struct NvdlaTrace {
 NvdlaShape sanity3Shape(unsigned scale = 1);
 NvdlaShape googlenetConv2Shape(unsigned scale = 1);
 
-/// Build a complete trace for a shape at a placement with pseudo-random
-/// tensors (deterministic in @p seed).
+/// A complete trace for a shape at a placement with pseudo-random tensors
+/// (deterministic in @p seed). A trace is a pure function of its arguments,
+/// so each distinct argument set is built once per process and shared
+/// read-only from then on: every later call with the same arguments, from
+/// any thread, returns the same object. Traces live until the process
+/// exits (a sweep draws on a handful of distinct ones).
+std::shared_ptr<const NvdlaTrace> sharedConvTrace(const std::string& name,
+                                                  const NvdlaShape& shape,
+                                                  const NvdlaPlacement& placement,
+                                                  std::uint64_t seed,
+                                                  bool sramWeights = false);
+
+/// A private copy of sharedConvTrace()'s trace.
 NvdlaTrace makeConvTrace(std::string name, const NvdlaShape& shape,
                          const NvdlaPlacement& placement, std::uint64_t seed,
                          bool sramWeights = false);

@@ -124,8 +124,6 @@ ObsSession::ObsSession(Simulation& sim, const ObsOptions& opts, std::string_view
         }
         reqtrace_ = std::make_unique<ReqTraceSession>(std::move(path), std::string{runName});
     }
-    reqtraceOnly_ = reqtrace_ != nullptr && trace_ == nullptr && profiler_ == nullptr &&
-                    recorder_ == nullptr && metrics_ == nullptr;
 
     // Slot 0 catches events whose name matches no registered object;
     // object slots are handed out lazily by slotFor().
@@ -259,11 +257,6 @@ void ObsSession::runEnd() {
 
 void ObsSession::dispatchBegin(const Event& ev, Tick when) {
     curTick_ = when;
-    // Request tracing alone needs none of the dispatch machinery: spans
-    // arrive through the component-driven request hooks with their own
-    // ticks. Skipping resolve() here keeps per-event dispatch cheap; the
-    // trace's measured cost is noted in runNvdlaDse (soc/experiments.cc).
-    if (reqtraceOnly_) return;
     const Owner& owner = resolve(ev);
     curSlot_ = owner.slot;
     curLabel_ = &owner.label;

@@ -108,6 +108,17 @@ public:
     void runEnd() override;
     void dispatchBegin(const Event& ev, Tick when) override;
     void dispatchEnd(Tick when) override;
+    /// Request tracing alone needs no dispatch hook: its spans arrive
+    /// through the component-driven request hooks, with their own ticks. So
+    /// a session whose only sink is the request trace (the DSE harness's
+    /// always-on stage blame) leaves the event queue unobserved. The trace
+    /// still costs its request hooks and computeBlame: perfbench's
+    /// reqtrace_cost_pct has measured up to about 25% of fig7_dse and
+    /// table3_nvdla job time (EXPERIMENTS.md).
+    bool observesDispatches() const override {
+        return trace_ != nullptr || profiler_ != nullptr || recorder_ != nullptr ||
+               metrics_ != nullptr;
+    }
     void packetIssued(std::uint64_t id, std::uint64_t addr, unsigned size,
                       bool isRead) override;
     void packetForwarded(std::uint64_t id) override;
@@ -146,13 +157,6 @@ private:
     std::unique_ptr<MetricsSession> metrics_;
     std::unique_ptr<ReqTraceSession> reqtrace_;
     std::shared_ptr<const ProfileReport> report_;
-
-    /// True when request tracing is the *only* enabled sink: dispatchBegin
-    /// then skips event resolution, profiling, and sampling entirely —
-    /// request hooks are component-driven and never consult the dispatch
-    /// state, which is what keeps the always-on DSE tracing inside the <2%
-    /// overhead budget.
-    bool reqtraceOnly_ = false;
 
     /// Slot 0 is "(unattributed)"; object slots are allocated lazily the
     /// first time an object's event dispatches, so SimObjects created

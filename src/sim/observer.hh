@@ -66,6 +66,12 @@ public:
     virtual void dispatchBegin(const Event& ev, Tick when) = 0;
     virtual void dispatchEnd(Tick when) = 0;
 
+    /// False for an observer that needs only the run, packet and request
+    /// hooks: Simulation::setObserver() then leaves the event queue's
+    /// dispatch path unobserved, and the dispatch hooks are never called.
+    /// Asked once, when the observer is attached.
+    virtual bool observesDispatches() const { return true; }
+
     /// Packet lifecycle, reported by the port layer (mem/port.hh). "Issued"
     /// fires at the first accepted timing send of a response-needing packet,
     /// "forwarded" at each later accepted request hop, "responded" at each

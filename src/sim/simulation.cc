@@ -28,7 +28,8 @@ void Simulation::setObserver(SimObserver* observer) {
     simAssert(observer == nullptr || observer_ == nullptr || observer == observer_,
               "a different observer is already attached to this Simulation");
     observer_ = observer;
-    queue_.setObserver(observer);
+    const bool dispatches = observer != nullptr && observer->observesDispatches();
+    queue_.setObserver(dispatches ? observer : nullptr);
 }
 
 RunResult Simulation::run(Tick maxTick) {

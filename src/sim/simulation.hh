@@ -59,9 +59,9 @@ public:
     exp::Json dumpStatsJson() const;
 
     /// Attach an observability hook (src/obs/ObsSession) — or nullptr to
-    /// detach. The observer sees every dispatch and packet of subsequent
-    /// run() calls; with none attached the loop runs on its historical
-    /// fast path.
+    /// detach. The observer sees every dispatch (unless it declines them,
+    /// SimObserver::observesDispatches) and packet of subsequent run()
+    /// calls; with none attached the loop runs on its historical fast path.
     void setObserver(SimObserver* observer);
     SimObserver* observer() const { return observer_; }
 

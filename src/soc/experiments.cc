@@ -146,7 +146,6 @@ DseRunResult runNvdlaDse(const DseRunConfig& config) {
 
     const bool dmaSpm = config.memPath == MemPath::kDmaSpm;
     struct Instance {
-        models::NvdlaTrace trace;
         RtlObject* rtl = nullptr;
         std::unique_ptr<NvdlaHost> host;
         std::unique_ptr<SpmPrefetcher> prefetcher;
@@ -164,9 +163,11 @@ DseRunResult runNvdlaDse(const DseRunConfig& config) {
 
         Instance& inst = instances[i];
         inst.placement = placement;
-        inst.trace = models::makeConvTrace(config.workloadName + std::to_string(i),
-                                           config.shape, placement, 0x5EED + i,
-                                           config.sramScratchpad);
+        // Instance i draws the same trace in every point of a sweep, so all
+        // but the first point of a process share it (sharedConvTrace).
+        const auto trace = models::sharedConvTrace(config.workloadName + std::to_string(i),
+                                                   config.shape, placement, 0x5EED + i,
+                                                   config.sramScratchpad);
 
         RtlObjectParams rp;
         rp.clockPeriod = socCfg.rtlClock;  // NVDLA at 1 GHz (Table 1).
@@ -181,7 +182,7 @@ DseRunResult runNvdlaDse(const DseRunConfig& config) {
         if (config.sramScratchpad) {
             // Weights live in the scratchpad; stage them there directly (the
             // host-side DMA into SRAM is not part of the measured run).
-            const auto& weights = inst.trace.segments[1];
+            const auto& weights = trace->segments[1];
             soc.scratchpadStore(i).write(weights.addr, weights.bytes.data(),
                                          static_cast<unsigned>(weights.bytes.size()));
         }
@@ -191,15 +192,14 @@ DseRunResult runNvdlaDse(const DseRunConfig& config) {
         hp.clockPeriod = socCfg.coreClock;
         hp.waitForRelease = dmaSpm;  // CSB programming waits for the prefetch.
         inst.host = std::make_unique<NvdlaHost>(sim, "system.host" + std::to_string(i),
-                                                hp, inst.trace);
+                                                hp, trace);
         inst.host->port().bind(soc.addHostPort("host" + std::to_string(i)));
         if (dmaSpm) {
             // Stage the working set into the SPM, release the host once it is
             // resident, and after the checksum readback drain the ofmap back
             // to main memory — that drain is the instance's finish line.
             inst.prefetcher = std::make_unique<SpmPrefetcher>(
-                sim, "system.prefetch" + std::to_string(i), soc.dmaEngine(i),
-                inst.trace);
+                sim, "system.prefetch" + std::to_string(i), soc.dmaEngine(i), trace);
             inst.prefetcher->setParentRequest(inst.host->requestId());
             inst.prefetcher->setDoneCallback([&inst] { inst.host->release(); });
             inst.host->setDoneCallback([&inst, &soc, &sim, &remaining, i,

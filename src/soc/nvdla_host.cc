@@ -3,7 +3,7 @@
 namespace g5r {
 
 NvdlaHost::NvdlaHost(Simulation& sim, std::string objName, const Params& params,
-                     models::NvdlaTrace trace)
+                     std::shared_ptr<const models::NvdlaTrace> trace)
     : ClockedObject(sim, std::move(objName), params.clockPeriod),
       params_(params),
       trace_(std::move(trace)),
@@ -20,7 +20,7 @@ NvdlaHost::NvdlaHost(Simulation& sim, std::string objName, const Params& params,
 void NvdlaHost::startup() {
     // Trace load: data segments into main memory (functional, as the real
     // host would have done before handing off to the accelerator).
-    for (const auto& seg : trace_.segments) {
+    for (const auto& seg : trace_->segments) {
         // Chunk into line-bounded functional writes. Each chunk runs at most
         // to the next 64 B line boundary: the interleaved decode downstream
         // routes a packet by its start address at line granularity, so a
@@ -67,7 +67,7 @@ void NvdlaHost::advance() {
     case State::kFinished:
         return;
     case State::kWriteRegs: {
-        if (nextRegWrite_ >= trace_.regWrites.size()) {
+        if (nextRegWrite_ >= trace_->regWrites.size()) {
             state_ = State::kPollStatus;
             pollStartTick_ = curTick();
             // The configuration stream is done: [startTick_, now) is the
@@ -79,7 +79,7 @@ void NvdlaHost::advance() {
                                   clockEdge(params_.pollIntervalCycles));
             return;
         }
-        const auto& rw = trace_.regWrites[nextRegWrite_];
+        const auto& rw = trace_->regWrites[nextRegWrite_];
         auto pkt = makeWritePacket(params_.csbBase + rw.addr, 8);
         pkt->set<std::uint64_t>(rw.data);
         pkt->setReqId(requestId_);

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 
 #include "mem/port.hh"
 #include "models/nvdla/nvdla_design.hh"
@@ -34,8 +35,10 @@ public:
         bool waitForRelease = false;
     };
 
+    /// The host reads @p trace and never modifies it, so many hosts (and
+    /// threads) may share one trace (models::sharedConvTrace).
     NvdlaHost(Simulation& sim, std::string name, const Params& params,
-              models::NvdlaTrace trace);
+              std::shared_ptr<const models::NvdlaTrace> trace);
 
     RequestPort& port() { return port_; }
 
@@ -54,7 +57,7 @@ public:
     /// own work under it).
     ReqId requestId() const { return requestId_; }
     std::uint64_t checksumRead() const { return checksumRead_; }
-    bool checksumOk() const { return checksumRead_ == trace_.expectedChecksum; }
+    bool checksumOk() const { return checksumRead_ == trace_->expectedChecksum; }
 
     void startup() override;
 
@@ -82,7 +85,7 @@ private:
     bool handleResp(PacketPtr& pkt);
 
     Params params_;
-    models::NvdlaTrace trace_;
+    std::shared_ptr<const models::NvdlaTrace> trace_;
     Port port_;
     CallbackEvent advanceEvent_;
     std::function<void()> doneCallback_;

@@ -1,26 +1,26 @@
 #include "soc/spm_prefetcher.hh"
 
+#include <algorithm>
+
 namespace g5r {
 
 SpmPrefetcher::SpmPrefetcher(Simulation& sim, std::string objName, DmaEngine& dma,
-                             const models::NvdlaTrace& trace)
-    : SimObject(sim, std::move(objName)), dma_(dma) {
-    for (const auto& seg : trace.segments) {
-        if (seg.bytes.empty()) continue;
-        regions_.push_back(Region{seg.addr, seg.bytes.size()});
-    }
-}
+                             std::shared_ptr<const models::NvdlaTrace> trace)
+    : SimObject(sim, std::move(objName)), dma_(dma), trace_(std::move(trace)) {}
 
 void SpmPrefetcher::startup() {
-    remaining_ = regions_.size();
+    remaining_ = static_cast<std::size_t>(
+        std::count_if(trace_->segments.begin(), trace_->segments.end(),
+                      [](const auto& seg) { return !seg.bytes.empty(); }));
     if (remaining_ == 0) {
         doneTick_ = curTick();
         if (doneCallback_) doneCallback_();
         return;
     }
-    for (const Region& region : regions_) {
+    for (const auto& seg : trace_->segments) {
+        if (seg.bytes.empty()) continue;
         DmaEngine::Descriptor desc{
-            region.addr, region.addr, region.bytes, DmaEngine::Direction::kMemToSpm,
+            seg.addr, seg.addr, seg.bytes.size(), DmaEngine::Direction::kMemToSpm,
             [this] {
                 if (--remaining_ == 0) {
                     doneTick_ = curTick();

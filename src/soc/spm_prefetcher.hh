@@ -10,7 +10,7 @@
 #pragma once
 
 #include <functional>
-#include <vector>
+#include <memory>
 
 #include "mem/dma.hh"
 #include "models/nvdla/trace.hh"
@@ -21,7 +21,7 @@ namespace g5r {
 class SpmPrefetcher : public SimObject {
 public:
     SpmPrefetcher(Simulation& sim, std::string name, DmaEngine& dma,
-                  const models::NvdlaTrace& trace);
+                  std::shared_ptr<const models::NvdlaTrace> trace);
 
     /// Invoked once when every segment has been staged into the SPM.
     void setDoneCallback(std::function<void()> cb) { doneCallback_ = std::move(cb); }
@@ -36,13 +36,8 @@ public:
     void startup() override;
 
 private:
-    struct Region {
-        Addr addr;
-        std::uint64_t bytes;
-    };
-
     DmaEngine& dma_;
-    std::vector<Region> regions_;
+    std::shared_ptr<const models::NvdlaTrace> trace_;
     std::function<void()> doneCallback_;
     std::size_t remaining_ = 0;
     Tick doneTick_ = 0;

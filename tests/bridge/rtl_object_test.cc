@@ -159,7 +159,7 @@ struct NvdlaSocHarness {
             s.refetch = 1;
             return s;
         }();
-        trace = models::makeConvTrace("tiny", shape, models::NvdlaPlacement{}, 21);
+        trace = models::sharedConvTrace("tiny", shape, models::NvdlaPlacement{}, 21);
 
         xbar = std::make_unique<Xbar>(sim, "xbar", Xbar::Params{});
         SimpleMemory::Params mp;
@@ -170,10 +170,10 @@ struct NvdlaSocHarness {
         if (useTlb) {
             tlb = std::make_unique<Tlb>(sim, "tlb");
             // Model addresses are "virtual": shift everything up 1 MiB (disjoint from the virtual regions).
-            for (const auto& seg : trace.segments) {
+            for (const auto& seg : trace->segments) {
                 tlb->map(seg.addr, seg.addr + 0x0010'0000, seg.bytes.size());
             }
-            tlb->map(trace.placement.ofmapBase, trace.placement.ofmapBase + 0x0010'0000,
+            tlb->map(trace->placement.ofmapBase, trace->placement.ofmapBase + 0x0010'0000,
                      shape.ofmapBytes());
         }
 
@@ -209,7 +209,7 @@ struct NvdlaSocHarness {
 
     Simulation sim;
     BackingStore store;
-    models::NvdlaTrace trace;
+    std::shared_ptr<const models::NvdlaTrace> trace;
     std::unique_ptr<Xbar> xbar;
     std::unique_ptr<SimpleMemory> mem;
     std::unique_ptr<Tlb> tlb;
@@ -225,9 +225,9 @@ TEST(RtlObjectNvdla, EndToEndTraceRunVerifiesChecksum) {
     EXPECT_TRUE(h.host->finished());
     EXPECT_TRUE(h.host->checksumOk())
         << "read 0x" << std::hex << h.host->checksumRead() << " expected 0x"
-        << h.trace.expectedChecksum;
+        << h.trace->expectedChecksum;
     // The ofmap landed in memory.
-    EXPECT_EQ(h.store.load<std::uint8_t>(h.trace.placement.ofmapBase + 5), 5);
+    EXPECT_EQ(h.store.load<std::uint8_t>(h.trace->placement.ofmapBase + 5), 5);
     EXPECT_GT(h.sim.findStat("nvdla0.memReads")->value(), 0.0);
     EXPECT_GT(h.sim.findStat("nvdla0.memWrites")->value(), 0.0);
 }
@@ -257,7 +257,7 @@ TEST(RtlObjectNvdla, TlbTranslationRedirectsTraffic) {
     NvdlaSocHarness h{64, /*useTlb=*/true};
     // Load the segments at their *physical* (translated) locations too,
     // since the host's functional loads are untranslated in this test.
-    for (const auto& seg : h.trace.segments) {
+    for (const auto& seg : h.trace->segments) {
         h.store.write(seg.addr + 0x0010'0000, seg.bytes.data(),
                       static_cast<unsigned>(seg.bytes.size()));
     }
@@ -265,7 +265,7 @@ TEST(RtlObjectNvdla, TlbTranslationRedirectsTraffic) {
     ASSERT_TRUE(h.host->finished());
     EXPECT_TRUE(h.host->checksumOk());
     // The ofmap appears at the translated address.
-    EXPECT_EQ(h.store.load<std::uint8_t>(h.trace.placement.ofmapBase + 0x0010'0000 + 7), 7);
+    EXPECT_EQ(h.store.load<std::uint8_t>(h.trace->placement.ofmapBase + 0x0010'0000 + 7), 7);
     EXPECT_GT(h.sim.findStat("tlb.lookups")->value(), 0.0);
     EXPECT_GT(h.sim.findStat("tlb.hits")->value(), 0.0);
 }

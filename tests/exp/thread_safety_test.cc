@@ -1,16 +1,20 @@
 // Dedicated regression tests for the thread-safety audit fixes that made
 // concurrent Simulations legal: per-run packet IDs, the nextTick()
-// const_cast removal, and interleave-free tagged logging.
+// const_cast removal, interleave-free tagged logging, and the process-wide
+// NVDLA trace cache that concurrent sweep points share.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <iostream>
+#include <latch>
+#include <map>
 #include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include "mem/packet.hh"
+#include "models/nvdla/trace.hh"
 #include "sim/event.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
@@ -209,6 +213,54 @@ TEST(LoggingRegression, RunLabelScopesNestAndRestore) {
         EXPECT_EQ(logRunLabel(), "outer");
     }
     EXPECT_EQ(logRunLabel(), "");
+}
+
+// ---- models::sharedConvTrace(): one trace per key, whichever thread asks --
+
+TEST(TraceCacheRegression, ConcurrentRequestsYieldOneTracePerKey) {
+    // Names no other test uses, so every key is built inside the race.
+    constexpr int kThreads = 4;
+    constexpr int kKeys = 3;
+    constexpr int kRounds = 4;
+    models::NvdlaShape shape;
+    shape.width = shape.height = 12;
+    shape.inChannels = shape.outChannels = 8;
+    const auto request = [&shape](int key) {
+        return models::sharedConvTrace("race" + std::to_string(key), shape,
+                                       models::NvdlaPlacement{}, 0xACE0 + key);
+    };
+
+    std::vector<std::vector<std::shared_ptr<const models::NvdlaTrace>>> got(kThreads);
+    std::latch start{kThreads};
+    {
+        std::vector<std::jthread> threads;
+        for (int t = 0; t < kThreads; ++t) {
+            threads.emplace_back([t, &got, &start, &request] {
+                start.arrive_and_wait();
+                // Each thread walks the keys from a different one, so keys
+                // overlap across threads from the first request on.
+                for (int i = 0; i < kKeys * kRounds; ++i) {
+                    got[t].push_back(request((t + i) % kKeys));
+                }
+            });
+        }
+    }
+
+    std::map<int, const models::NvdlaTrace*> byKey;
+    for (int t = 0; t < kThreads; ++t) {
+        for (int i = 0; i < kKeys * kRounds; ++i) {
+            const int key = (t + i) % kKeys;
+            const auto [it, fresh] = byKey.emplace(key, got[t][i].get());
+            EXPECT_EQ(it->second, got[t][i].get()) << "key " << key << ", thread " << t;
+            if (fresh) {
+                EXPECT_EQ(got[t][i]->seed, 0xACE0u + key);
+            }
+        }
+    }
+    std::set<const models::NvdlaTrace*> distinct;
+    for (const auto& [key, trace] : byKey) distinct.insert(trace);
+    EXPECT_EQ(distinct.size(), static_cast<std::size_t>(kKeys));
+    for (const auto& [key, trace] : byKey) EXPECT_EQ(request(key).get(), trace);
 }
 
 }  // namespace

@@ -1,12 +1,17 @@
 // NVDLA-style accelerator model: datapath correctness (checksum, output
 // writes), workload character (memory- vs compute-bound), credit throttling,
-// trace round-trips, and the standalone player.
+// trace round-trips and the process-wide trace cache, and the standalone
+// player.
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <set>
 
 #include "bridge/rtl_model.hh"
 #include "models/nvdla/nvdla_design.hh"
 #include "models/nvdla/standalone.hh"
 #include "models/nvdla/trace.hh"
+#include "obs/recording.hh"
 
 extern "C" const G5rRtlModelApi* g5r_nvdla_model_api();
 
@@ -215,6 +220,111 @@ TEST(NvdlaTrace, ShapesMatchTableOneScaleKnob) {
     EXPECT_EQ(s2.ifmapBytes(), 4 * s1.ifmapBytes());
     EXPECT_EQ(googlenetConv2Shape().filterH, 3);
     EXPECT_EQ(sanity3Shape().filterH, 1);
+}
+
+// ---- the trace cache ------------------------------------------------------
+
+/// FNV-1a over a trace's data segments (address, then bytes), its golden
+/// checksum and its register writes.
+std::uint64_t traceDigest(const NvdlaTrace& t) {
+    std::uint64_t h = obs::kDigestSeed;
+    for (const auto& seg : t.segments) {
+        h = obs::digestU64(h, seg.addr);
+        for (const std::uint8_t b : seg.bytes) h = obs::digestByte(h, b);
+    }
+    h = obs::digestU64(h, t.expectedChecksum);
+    for (const auto& rw : t.regWrites) h = obs::digestU64(obs::digestU64(h, rw.addr), rw.data);
+    return h;
+}
+
+/// Every shape and placement field off its default, and a 3x2 filter, so a
+/// generator that mixed up two fields would change the bytes.
+NvdlaShape goldenShape() {
+    NvdlaShape s;
+    s.width = 5;
+    s.height = 3;
+    s.inChannels = 7;
+    s.outChannels = 2;
+    s.filterH = 3;
+    s.filterW = 2;
+    s.refetch = 2;
+    return s;
+}
+
+NvdlaPlacement goldenPlacement() {
+    NvdlaPlacement p;
+    p.ifmapBase = 0x1000'0010;
+    p.weightBase = 0x1100'0020;
+    p.ofmapBase = 0x1200'0000;
+    return p;
+}
+
+TEST(NvdlaTraceCache, SameArgumentsShareOneTrace) {
+    const auto a = models::sharedConvTrace("share", tinyShape(), NvdlaPlacement{}, 41);
+    const auto b = models::sharedConvTrace("share", tinyShape(), NvdlaPlacement{}, 41);
+    EXPECT_EQ(a.get(), b.get());
+    // The by-value form is a private copy of the same trace: changing it
+    // leaves the shared one alone.
+    NvdlaTrace copy = makeConvTrace("share", tinyShape(), NvdlaPlacement{}, 41);
+    const std::uint64_t shared = traceDigest(*a);
+    EXPECT_EQ(traceDigest(copy), shared);
+    copy.segments[0].bytes[0] ^= 1;
+    EXPECT_EQ(traceDigest(*a), shared);
+}
+
+TEST(NvdlaTraceCache, EveryKeyFieldGivesADistinctTrace) {
+    struct Args {
+        std::string name = "key";
+        NvdlaShape shape = goldenShape();
+        NvdlaPlacement placement = goldenPlacement();
+        std::uint64_t seed = 43;
+        bool sramWeights = false;
+    };
+    const auto get = [](const Args& a) {
+        return models::sharedConvTrace(a.name, a.shape, a.placement, a.seed, a.sramWeights);
+    };
+    const std::function<void(Args&)> changes[] = {
+        [](Args& a) { a.name = "key2"; },
+        [](Args& a) { ++a.shape.width; },
+        [](Args& a) { ++a.shape.height; },
+        [](Args& a) { ++a.shape.inChannels; },
+        [](Args& a) { ++a.shape.outChannels; },
+        [](Args& a) { ++a.shape.filterH; },
+        [](Args& a) { ++a.shape.filterW; },
+        [](Args& a) { ++a.shape.refetch; },
+        [](Args& a) { a.placement.ifmapBase += 0x40; },
+        [](Args& a) { a.placement.weightBase += 0x40; },
+        [](Args& a) { a.placement.ofmapBase += 0x40; },
+        [](Args& a) { ++a.seed; },
+        [](Args& a) { a.sramWeights = true; },
+    };
+    const auto base = get(Args{});
+    std::set<const NvdlaTrace*> seen{base.get()};
+    for (std::size_t i = 0; i < std::size(changes); ++i) {
+        Args args;
+        changes[i](args);
+        const auto trace = get(args);
+        EXPECT_TRUE(seen.insert(trace.get()).second) << "change " << i << " shared a trace";
+        // Each distinct trace describes its own arguments.
+        EXPECT_EQ(trace->name, args.name);
+        EXPECT_EQ(trace->shape, args.shape);
+        EXPECT_EQ(trace->placement, args.placement);
+        EXPECT_EQ(trace->seed, args.seed);
+        EXPECT_EQ(trace->regWrites.front().data, args.sramWeights ? 1u : 0u);
+    }
+    EXPECT_EQ(get(Args{}).get(), base.get());
+}
+
+TEST(NvdlaTraceCache, GoldenDigestPinsTheBytes) {
+    // Captured from the generator before traces were cached: caching must
+    // not change a single byte any trace holds.
+    const auto trace = models::sharedConvTrace("golden", goldenShape(), goldenPlacement(),
+                                               0x600D5EED, /*sramWeights=*/true);
+    ASSERT_EQ(trace->segments.size(), 2u);
+    EXPECT_EQ(trace->segments[0].bytes.size(), goldenShape().ifmapBytes());
+    EXPECT_EQ(trace->segments[1].bytes.size(), goldenShape().weightBytes());
+    EXPECT_EQ(trace->expectedChecksum, 36070u);
+    EXPECT_EQ(traceDigest(*trace), 0x52eba9608064cb71ULL);
 }
 
 }  // namespace

@@ -276,6 +276,27 @@ TEST(ObsSession, DetachesFromSimulationOnDestruction) {
     EXPECT_EQ(sim.observer(), nullptr);
 }
 
+// Request tracing alone needs no dispatch hook: the session stays the
+// simulation's observer (run, packet and request hooks) while the event
+// queue runs unobserved. Any other sink puts it back on every dispatch.
+TEST(ObsSession, RequestTraceOnlySessionLeavesDispatchesUnobserved) {
+    ObsOptions opts;
+    opts.reqtraceEnabled = true;
+    opts.reqtracePath = "-";
+    {
+        Simulation sim;
+        const auto session = ObsSession::create(sim, opts, "reqtrace_only");
+        ASSERT_NE(session, nullptr);
+        EXPECT_EQ(sim.observer(), session.get());
+        EXPECT_EQ(sim.eventQueue().observer(), nullptr);
+    }
+    opts.profileEnabled = true;
+    Simulation sim;
+    const auto session = ObsSession::create(sim, opts, "reqtrace_profiled");
+    ASSERT_NE(session, nullptr);
+    EXPECT_EQ(sim.eventQueue().observer(), session.get());
+}
+
 // CI entry point: after running examples/obs_profile with GEM5RTL_TRACE,
 // the workflow points G5R_TRACE_CHECK_FILE at the emitted trace and runs
 // --gtest_filter=TraceCheck.*; locally (env unset) the check skips.

@@ -29,7 +29,7 @@ TEST(CombinedSoc, PmuMonitorsWhileNvdlaComputes) {
     shape.width = shape.height = 16;
     shape.inChannels = shape.outChannels = 16;
     shape.filterH = shape.filterW = 1;
-    const auto trace = models::makeConvTrace("combined", shape, models::NvdlaPlacement{}, 3);
+    const auto trace = models::sharedConvTrace("combined", shape, models::NvdlaPlacement{}, 3);
 
     RtlObjectParams dlaParams;
     dlaParams.clockPeriod = cfg.rtlClock;

@@ -130,8 +130,8 @@ void runFlakyDmaSpmSoc(bool gateIdleTicks) {
     placement.ifmapBase = 0x2000'0000ULL;
     placement.weightBase = placement.ifmapBase + 0x0100'0000ULL;
     placement.ofmapBase = placement.ifmapBase + 0x0200'0000ULL;
-    const models::NvdlaTrace trace =
-        models::makeConvTrace("flaky-dmaspm", tinyShape(), placement, 0x5EED, false);
+    const auto trace =
+        models::sharedConvTrace("flaky-dmaspm", tinyShape(), placement, 0x5EED, false);
 
     RtlObjectParams rp;
     rp.clockPeriod = socCfg.rtlClock;

@@ -51,7 +51,8 @@ TEST(NvdlaHost, UnalignedSegmentLoadsByteExactly) {
     for (std::size_t i = 0; i < 217; ++i) seg.bytes.push_back(patternByte(i));
     trace.segments.push_back(seg);
 
-    NvdlaHost host{h.sim, "host", {}, trace};
+    NvdlaHost host{h.sim, "host", {},
+                   std::make_shared<const models::NvdlaTrace>(std::move(trace))};
     host.port().bind(h.xbar.addCpuSidePort("host"));
     host.startup();
 
@@ -80,7 +81,8 @@ TEST(NvdlaHost, WaitForReleaseGatesCsbProgramming) {
     NvdlaHost::Params hp;
     hp.csbBase = kCsbBase;
     hp.waitForRelease = true;
-    NvdlaHost host{h.sim, "host", hp, trace};
+    NvdlaHost host{h.sim, "host", hp,
+                   std::make_shared<const models::NvdlaTrace>(std::move(trace))};
     host.port().bind(h.xbar.addCpuSidePort("host"));
 
     // startup() only loads segments; nothing is scheduled until release().
