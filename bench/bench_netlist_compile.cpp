@@ -1,10 +1,10 @@
 // Compiled netlist backend vs the interpreter — the speedup that justifies
 // the g5r-netlistc toolflow. For each bitonic size N the same per-tick
-// workload (all inputs re-randomized every evaluation, deterministic per-mode
-// seed) runs through the dirty-bit interpreter, the levelized interpreter,
-// and the netlistc-compiled shared library (dlopen'd raw-kernel face, i.e.
-// the exact artifact the simulator loads); equal output checksums across the
-// three lanes gate the timing claims. Results serialize to
+// workload (all inputs re-randomized every evaluation, deterministic per-n
+// seed) runs through the dirty-bit interpreter and the netlistc-compiled
+// shared library (dlopen'd raw-kernel face, i.e. the exact artifact the
+// simulator loads); equal output checksums across the two lanes gate the
+// timing claims. Results serialize to
 // BENCH_netlist_compile.json (schema 1): per (n, mode) wallSeconds and
 // nsPerEval, plus per-n speedupVsDirty.
 //
@@ -52,9 +52,8 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
 // The clock-read overhead per iteration is identical across lanes.
 
 /// Interpreter lane.
-LaneResult runInterpreted(unsigned n, rtl::EvalMode mode, unsigned iters) {
+LaneResult runInterpreted(unsigned n, unsigned iters) {
     rtl::Netlist nl{rtl::bitonicSorterNetlist(n)};
-    nl.setEvalMode(mode);
     std::vector<std::string> ins, outs;
     for (unsigned i = 0; i < n; ++i) {
         ins.push_back("in" + std::to_string(i));
@@ -77,7 +76,7 @@ LaneResult runInterpreted(unsigned n, rtl::EvalMode mode, unsigned iters) {
 /// Compiled lane: the prebuilt lib<name>_cN.so from the model directory.
 LaneResult runCompiled(rtl::codegen::CompiledKernel& kern, unsigned n,
                        unsigned iters) {
-    Rng rng{0xBE7C4ull + n};  // Same stream as the interpreter lanes.
+    Rng rng{0xBE7C4ull + n};  // Same stream as the interpreter lane.
     LaneResult r;
     std::chrono::steady_clock::duration evalTime{};
     for (unsigned it = 0; it < iters; ++it) {
@@ -102,10 +101,9 @@ int main() {
     doc["iters"] = iters;
     doc["points"] = exp::Json::array();
 
-    std::printf("# bitonic eval: dirty-bit vs levelized vs compiled, %u evals/lane\n",
-                iters);
-    std::printf("# %4s %14s %14s %14s %10s\n", "n", "dirty ns/eval",
-                "level ns/eval", "compiled ns/eval", "speedup");
+    std::printf("# bitonic eval: dirty-bit vs compiled, %u evals/lane\n", iters);
+    std::printf("# %4s %14s %14s %10s\n", "n", "dirty ns/eval", "compiled ns/eval",
+                "speedup");
 
     const auto sweepStart = std::chrono::steady_clock::now();
     double speedupAt64 = 0;
@@ -127,32 +125,27 @@ int main() {
             }
             return a;
         };
-        LaneResult dirty = runInterpreted(n, rtl::EvalMode::kDirtyBit, iters);
-        LaneResult level = runInterpreted(n, rtl::EvalMode::kLevelized, iters);
+        LaneResult dirty = runInterpreted(n, iters);
         LaneResult comp = runCompiled(*kern, n, iters);
         for (int rep = 1; rep < 3; ++rep) {
-            dirty = best(dirty, runInterpreted(n, rtl::EvalMode::kDirtyBit, iters));
-            level = best(level, runInterpreted(n, rtl::EvalMode::kLevelized, iters));
+            dirty = best(dirty, runInterpreted(n, iters));
             comp = best(comp, runCompiled(*kern, n, iters));
         }
 
         check(dirty.checksum == comp.checksum,
               "n=" + std::to_string(n) + ": compiled checksum == dirty-bit");
-        check(level.checksum == comp.checksum,
-              "n=" + std::to_string(n) + ": compiled checksum == levelized");
 
         const double perEval = 1e9 / iters;
         const double speedup =
             comp.wallSeconds > 0 ? dirty.wallSeconds / comp.wallSeconds : 0;
         if (n == 64) speedupAt64 = speedup;
-        std::printf("  %4u %14.1f %14.1f %14.1f %9.1fx\n", n,
-                    dirty.wallSeconds * perEval, level.wallSeconds * perEval,
+        std::printf("  %4u %14.1f %14.1f %9.1fx\n", n, dirty.wallSeconds * perEval,
                     comp.wallSeconds * perEval, speedup);
 
         const struct {
             const char* mode;
             const LaneResult* r;
-        } lanes[] = {{"dirty", &dirty}, {"levelized", &level}, {"compiled", &comp}};
+        } lanes[] = {{"dirty", &dirty}, {"compiled", &comp}};
         for (const auto& lane : lanes) {
             exp::Json entry = exp::Json::object();
             entry["n"] = n;

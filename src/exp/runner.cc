@@ -5,18 +5,19 @@
 #include <cstring>
 #include <thread>
 
+#include "sim/parse.hh"
+
 namespace g5r::exp {
 namespace {
 
 unsigned parsePositive(const char* text, const char* what) {
-    char* end = nullptr;
-    const long value = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || value <= 0 || value > 4096) {
+    const auto value = parseDecimal(text, 4096);
+    if (!value || *value == 0) {
         std::fprintf(stderr, "invalid %s '%s': expected an integer in [1, 4096]\n", what,
                      text);
         std::exit(2);
     }
-    return static_cast<unsigned>(value);
+    return static_cast<unsigned>(*value);
 }
 
 }  // namespace

@@ -32,6 +32,7 @@
 #include "rtl/analysis/cones.hh"
 #include "rtl/analysis/levelize.hh"
 #include "rtl/netlist.hh"
+#include "sim/parse.hh"
 
 namespace {
 
@@ -56,29 +57,15 @@ struct Input {
 };
 
 bool builtinSource(const std::string& spec, Input& input, std::string& error) {
-    const auto colon = spec.find(':');
-    const std::string name = spec.substr(0, colon);
-    unsigned n = 8;
-    if (colon != std::string::npos) {
-        try {
-            n = static_cast<unsigned>(std::stoul(spec.substr(colon + 1)));
-        } catch (const std::exception&) {
-            error = "bad builtin size in '" + spec + "'";
-            return false;
-        }
-    }
-    if (name == "bitonic") {
-        try {
-            input.source = g5r::rtl::bitonicSorterNetlist(n);
-        } catch (const g5r::rtl::NetlistError& e) {
-            error = e.what();
-            return false;
-        }
+    try {
+        const unsigned n = g5r::rtl::parseBitonicSpec(spec);
+        input.source = g5r::rtl::bitonicSorterNetlist(n);
         input.label = "builtin:bitonic:" + std::to_string(n);
         return true;
+    } catch (const g5r::rtl::NetlistError& e) {
+        error = e.what();
+        return false;
     }
-    error = "unknown builtin '" + name + "' (available: bitonic)";
-    return false;
 }
 
 void dumpLevels(const Input& input, const g5r::rtl::NetlistGraph& g,
@@ -130,12 +117,12 @@ int main(int argc, char** argv) {
             wantCones = true;
         } else if (arg == "--max-level") {
             if (++i >= argc) return usage(std::cerr, 2);
-            try {
-                opts.maxLogicDepth = static_cast<unsigned>(std::stoul(argv[i]));
-            } catch (const std::exception&) {
+            const auto depth = g5r::parseDecimal(argv[i], ~0u);
+            if (!depth) {
                 std::cerr << "g5r-lint: bad --max-level value '" << argv[i] << "'\n";
                 return 2;
             }
+            opts.maxLogicDepth = static_cast<unsigned>(*depth);
         } else if (arg == "--baseline") {
             if (++i >= argc) return usage(std::cerr, 2);
             baselinePath = argv[i];

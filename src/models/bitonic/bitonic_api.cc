@@ -29,52 +29,11 @@
 namespace g5r::models {
 namespace {
 
-unsigned parseN(const char* config) {
-    // config: "n=<power-of-two>", default 16.
-    if (config != nullptr) {
-        const std::string s{config};
-        if (const auto pos = s.find("n="); pos != std::string::npos) {
-            const unsigned n = static_cast<unsigned>(std::strtoul(s.c_str() + pos + 2,
-                                                                  nullptr, 10));
-            if (n >= 2 && (n & (n - 1)) == 0 && n <= 64) return n;
-        }
-    }
-    return 16;
-}
-
-rtl::EvalMode parseEvalMode(const char* config) {
-    // config token "eval=levelized|dirty" wins; the GEM5RTL_NETLIST_EVAL
-    // environment variable covers deployments where the config string is
-    // fixed (the SoC experiments). Default: dirty-bit.
-    std::string spec;
-    if (config != nullptr) {
-        const std::string s{config};
-        if (const auto pos = s.find("eval="); pos != std::string::npos) {
-            spec = s.substr(pos + 5, s.find(',', pos) - (pos + 5));
-        }
-    }
-    if (spec.empty()) {
-        if (const char* env = std::getenv("GEM5RTL_NETLIST_EVAL"); env != nullptr) {
-            spec = env;
-        }
-    }
-    return spec == "levelized" ? rtl::EvalMode::kLevelized : rtl::EvalMode::kDirtyBit;
-}
-
-unsigned stagesFor(unsigned n) {
-    // Bitonic network depth: log(n) * (log(n)+1) / 2.
-    unsigned log2n = 0;
-    while ((1u << log2n) < n) ++log2n;
-    return log2n * (log2n + 1) / 2;
-}
-
 class BitonicWrapper {
 public:
-    BitonicWrapper(unsigned n, rtl::EvalMode evalMode)
-        : n_(n), stages_(stagesFor(n)),
-          netlist_(rtl::bitonicSorterNetlist(n)), inputs_(n, 0), outputs_(n, 0) {
-        netlist_.setEvalMode(evalMode);
-    }
+    explicit BitonicWrapper(unsigned n)
+        : n_(n), stages_(rtl::bitonicStages(n)),
+          netlist_(rtl::bitonicSorterNetlist(n)), inputs_(n, 0), outputs_(n, 0) {}
 
     void reset() {
         netlist_.reset();
@@ -180,7 +139,9 @@ private:
 
 void* bitonicCreate(const char* config) {
     try {
-        return new BitonicWrapper(parseN(config), parseEvalMode(config));
+        // A malformed config fails create(), which the bridge reports with
+        // the config string; eval= only picks the library, so it is ignored here.
+        return new BitonicWrapper(rtl::parseBitonicConfig(config != nullptr ? config : "").n);
     } catch (const std::exception&) {
         return nullptr;
     }

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string_view>
 #include <vector>
 
 #include "exp/json.hh"
+#include "sim/parse.hh"
 
 namespace g5r::obs {
 
@@ -210,9 +210,10 @@ int critpathCliMain(int argc, const char* const* argv) {
         } else if (arg == "--waterfall") {
             waterfall = true;
         } else if (arg.rfind("--waterfall=", 0) == 0) {
+            const auto count = parseDecimal(arg.substr(std::strlen("--waterfall=")));
+            if (!count) return usage();
             waterfall = true;
-            waterfallCount = static_cast<std::size_t>(
-                std::strtoull(argv[i] + std::strlen("--waterfall="), nullptr, 10));
+            waterfallCount = static_cast<std::size_t>(*count);
         } else if (arg == "--assert-sum") {
             assertSum = true;
         } else if (!arg.empty() && arg[0] == '-') {

@@ -12,6 +12,7 @@
 
 #include "exp/json.hh"
 #include "obs/metrics.hh"
+#include "sim/parse.hh"
 
 namespace g5r::obs {
 
@@ -440,7 +441,9 @@ int statsCliMain(int argc, const char* const* argv) {
             if (std::strcmp(argv[i], "--channel") == 0 && i + 1 < argc) {
                 filter = argv[++i];
             } else if (std::strcmp(argv[i], "--max") == 0 && i + 1 < argc) {
-                maxChannels = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
+                const auto max = parseDecimal(argv[++i]);
+                if (!max) return usage();
+                maxChannels = static_cast<std::size_t>(*max);
             } else if (argv[i][0] == '-') {
                 return usage();
             } else if (path.empty()) {

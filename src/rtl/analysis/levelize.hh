@@ -6,8 +6,8 @@
 // level-major order is a correct evaluation schedule for any acyclic netlist,
 // and — unlike an arbitrary topological order — the schedule is *canonical*:
 // it depends only on the graph, not on traversal order, hash seeds, or thread
-// count. That determinism is what lets the interpreter's evalLevelized()
-// mode, the future compiled backend, and `g5r-lint --dump-levels` all agree
+// count. That determinism is what lets the interpreter's eval order, the
+// g5r-netlistc compiled backend, and `g5r-lint --dump-levels` all agree
 // byte-for-byte.
 //
 // Cycles are handled by SCC condensation (iterative Tarjan): every member of
@@ -46,7 +46,8 @@ struct LevelSchedule {
     std::vector<std::vector<int>> levels;
 
     /// The evaluation schedule: every acyclic combinational node, level-major
-    /// then index-minor. This is the order evalLevelized() runs.
+    /// then index-minor. The interpreter's eval() walks it and codegen emits
+    /// it.
     std::vector<int> order;
 
     /// Combinational nodes on a combinational cycle (members of a

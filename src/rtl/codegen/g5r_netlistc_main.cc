@@ -33,6 +33,7 @@
 
 #include "rtl/codegen/compile.hh"
 #include "rtl/netlist.hh"
+#include "sim/parse.hh"
 
 namespace {
 
@@ -45,14 +46,6 @@ int usage(std::ostream& os, int code) {
     return code;
 }
 
-unsigned bitonicStages(unsigned n) {
-    // Pipeline depth of the bitonic network: log2(n) * (log2(n)+1) / 2 —
-    // the same per-sort latency the interpreted bitonic wrapper models.
-    unsigned log2n = 0;
-    while ((1u << log2n) < n) ++log2n;
-    return log2n * (log2n + 1) / 2;
-}
-
 struct Input {
     std::string label;
     std::string source;
@@ -62,32 +55,18 @@ struct Input {
 };
 
 bool builtinInput(const std::string& spec, Input& input, std::string& error) {
-    const auto colon = spec.find(':');
-    const std::string name = spec.substr(0, colon);
-    unsigned n = 8;
-    if (colon != std::string::npos) {
-        try {
-            n = static_cast<unsigned>(std::stoul(spec.substr(colon + 1)));
-        } catch (const std::exception&) {
-            error = "bad builtin size in '" + spec + "'";
-            return false;
-        }
-    }
-    if (name != "bitonic") {
-        error = "unknown builtin '" + name + "' (available: bitonic)";
-        return false;
-    }
     try {
+        const unsigned n = g5r::rtl::parseBitonicSpec(spec);
         input.source = g5r::rtl::bitonicSorterNetlist(n);
+        input.label = "builtin:bitonic:" + std::to_string(n);
+        input.defaultName = "bitonic_c" + std::to_string(n);
+        input.defaultLatency = g5r::rtl::bitonicStages(n);
+        input.elems = n;
+        return true;
     } catch (const g5r::rtl::NetlistError& e) {
         error = e.what();
         return false;
     }
-    input.label = "builtin:bitonic:" + std::to_string(n);
-    input.defaultName = "bitonic_c" + std::to_string(n);
-    input.defaultLatency = bitonicStages(n);
-    input.elems = n;
-    return true;
 }
 
 }  // namespace
@@ -120,12 +99,12 @@ int main(int argc, char** argv) {
         } else if (arg == "--latency") {
             const char* v = value();
             if (v == nullptr) return usage(std::cerr, 2);
-            try {
-                cgOpts.deviceLatency = static_cast<unsigned>(std::stoul(v));
-            } catch (const std::exception&) {
+            const auto latency = g5r::parseDecimal(v, ~0u);
+            if (!latency) {
                 std::cerr << "g5r-netlistc: bad --latency value '" << v << "'\n";
                 return 2;
             }
+            cgOpts.deviceLatency = static_cast<unsigned>(*latency);
         } else if (arg == "--cxx") {
             const char* v = value();
             if (v == nullptr) return usage(std::cerr, 2);

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "lint/netlist_lint.hh"
+#include "sim/parse.hh"
 
 namespace g5r::rtl {
 
@@ -48,12 +49,11 @@ Netlist::Netlist(std::string_view source) : graph_(parseNetlistGraph(source)) {
     }
     for (const auto& out : graph_.outputs) outputs_[out.alias] = out.target;
 
-    // The canonical level schedule is the evaluation order for both modes:
-    // the dirty-bit walker only needs *a* topological order, the levelized
-    // path wants the level-major one, and sharing it keeps the two modes
-    // trivially value-identical. Lint already rejected cycles above.
+    // The canonical level schedule is the evaluation order: the dirty-bit
+    // walker only needs *a* topological order, and sharing the one codegen
+    // emits keeps interpreter and compiled model in the same node order.
+    // Lint already rejected cycles above.
     sched_ = analysis::levelize(graph_);
-    evalOrder_ = sched_.order;
     dirty_.assign(nodes_.size(), 1);  // First eval() computes everything.
 }
 
@@ -117,30 +117,14 @@ std::uint64_t Netlist::computeValue(const Node& node) const {
     return value & mask(node);
 }
 
-void Netlist::captureRegNext() {
-    // Capture reg next-values after combinational settle.
-    for (const int r : regIndices_) {
-        Node& reg = nodes_[r];
-        reg.next = nodes_[reg.src[0]].value & mask(reg);
-    }
-}
-
 void Netlist::eval() {
-    if (evalMode_ == EvalMode::kLevelized) {
-        evalLevelized();
-    } else {
-        evalDirtyBit();
-    }
-}
-
-void Netlist::evalDirtyBit() {
     lastEvalComputed_ = 0;
     // Quiescent fast path: no input or register changed since the last
     // settle, so every combinational value (and every reg next-value
     // captured then) is still correct.
     if (!anyDirty_) return;
 
-    for (const int i : evalOrder_) {
+    for (const int i : sched_.order) {
         Node& node = nodes_[i];
         bool srcChanged = false;
         for (const int s : node.src) {
@@ -160,23 +144,11 @@ void Netlist::evalDirtyBit() {
             dirty_[i] = 1;
         }
     }
-    captureRegNext();
-    std::fill(dirty_.begin(), dirty_.end(), 0);
-    anyDirty_ = false;
-}
-
-void Netlist::evalLevelized() {
-    // Full recompute in the canonical level-major order. Because a node's
-    // value is a pure function of its sources and both orders are
-    // topological, this settles to exactly the values the dirty-bit path
-    // computes — it just never consults (only clears) the dirty state, so
-    // the two modes can be switched freely between calls.
-    for (const int i : evalOrder_) {
-        Node& node = nodes_[i];
-        node.value = computeValue(node);
+    // Capture reg next-values after combinational settle.
+    for (const int r : regIndices_) {
+        Node& reg = nodes_[r];
+        reg.next = nodes_[reg.src[0]].value & mask(reg);
     }
-    lastEvalComputed_ = evalOrder_.size();
-    captureRegNext();
     std::fill(dirty_.begin(), dirty_.end(), 0);
     anyDirty_ = false;
 }
@@ -256,6 +228,52 @@ std::string bitonicSorterNetlist(unsigned n, unsigned width) {
 
     for (unsigned i = 0; i < n; ++i) os << "output out" << i << ' ' << cur[i] << "\n";
     return os.str();
+}
+
+unsigned bitonicStages(unsigned n) {
+    unsigned log2n = 0;
+    while ((1u << log2n) < n) ++log2n;
+    return log2n * (log2n + 1) / 2;
+}
+
+unsigned parseBitonicSpec(std::string_view spec) {
+    const auto colon = spec.find(':');
+    const std::string_view name = spec.substr(0, colon);
+    if (name != "bitonic") {
+        throw NetlistError("unknown builtin '" + std::string{name} +
+                           "' (available: bitonic)");
+    }
+    if (colon == std::string_view::npos) return 8;
+    const auto n = parseDecimal(spec.substr(colon + 1), ~0u);
+    if (!n) throw NetlistError("bad builtin size in '" + std::string{spec} + "'");
+    return static_cast<unsigned>(*n);
+}
+
+BitonicConfig parseBitonicConfig(std::string_view config) {
+    const auto bad = [&](const std::string& why) {
+        return NetlistError("bad bitonic config '" + std::string{config} + "': " + why);
+    };
+    BitonicConfig parsed;
+    std::string_view rest = config;
+    while (!rest.empty()) {
+        const auto comma = rest.find(',');
+        const std::string_view token = rest.substr(0, comma);
+        rest = comma == std::string_view::npos ? std::string_view{} : rest.substr(comma + 1);
+        if (token.empty()) continue;
+        if (token.starts_with("n=")) {
+            const auto n = parseDecimal(token.substr(2), 64);
+            if (!n || *n < 2 || (*n & (*n - 1)) != 0) {
+                throw bad("n must be a power of two in [2, 64]");
+            }
+            parsed.n = static_cast<unsigned>(*n);
+        } else if (token == "eval=dirty" || token == "eval=compiled") {
+            parsed.compiled = token == "eval=compiled";
+        } else {
+            throw bad("unknown token '" + std::string{token} +
+                      "' (expected n=<N> or eval=dirty|compiled)");
+        }
+    }
+    return parsed;
 }
 
 }  // namespace g5r::rtl

@@ -46,14 +46,6 @@ public:
     explicit NetlistError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// How eval() propagates combinational logic. Both modes produce identical
-/// values on every net after every eval()/tick() — the flight-recorder
-/// identity tests in tests/bridge enforce this byte-for-byte.
-enum class EvalMode {
-    kDirtyBit,   ///< Activity-driven: recompute only cones whose sources changed.
-    kLevelized,  ///< Full recompute in the canonical level-major schedule.
-};
-
 class Netlist {
 public:
     /// Parse and elaborate; throws NetlistError on syntax errors,
@@ -64,21 +56,13 @@ public:
     void setInput(const std::string& name, std::uint64_t value);
     std::uint64_t output(const std::string& name) const;
 
-    /// Propagate combinational logic from inputs/register outputs.
-    /// Dispatches on evalMode(): activity-driven dirty-bit propagation by
-    /// default, or a full level-ordered recompute (evalLevelized()).
+    /// Propagate combinational logic from inputs/register outputs,
+    /// activity-driven: only cones whose sources changed are recomputed.
+    /// The g5r-netlistc compiled backend is the full-recompute fast path.
     void eval();
 
-    /// Full recompute in the canonical level-major schedule from
-    /// rtl::analysis::levelize(). Slower per call than the dirty-bit path
-    /// but branch-free per node and trivially parallelizable per level —
-    /// the interpreter-side twin of the planned compiled backend.
-    void evalLevelized();
-
-    void setEvalMode(EvalMode mode) { evalMode_ = mode; }
-    EvalMode evalMode() const { return evalMode_; }
-
-    /// The canonical level schedule this netlist evaluates with.
+    /// The canonical level schedule this netlist evaluates with (and the
+    /// one g5r-netlistc emits code from).
     const analysis::LevelSchedule& schedule() const { return sched_; }
 
     /// Clock edge: eval(), then latch every reg.
@@ -143,19 +127,15 @@ private:
         return n.width >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << n.width) - 1);
     }
     std::uint64_t computeValue(const Node& node) const;
-    void evalDirtyBit();
-    void captureRegNext();
 
     NetlistGraph graph_;
     std::vector<Node> nodes_;
     std::map<std::string, int, std::less<>> byName_;
     std::map<std::string, int, std::less<>> outputs_;  ///< alias -> node index.
     analysis::LevelSchedule sched_;  ///< Canonical level schedule of graph_.
-    std::vector<int> evalOrder_;   ///< == sched_.order (comb nodes, level-major).
     std::vector<int> regIndices_;
     std::vector<std::uint8_t> dirty_;  ///< Per node: value changed since last settle.
     bool anyDirty_ = true;
-    EvalMode evalMode_ = EvalMode::kDirtyBit;
     std::size_t lastEvalComputed_ = 0;
 };
 
@@ -163,5 +143,28 @@ private:
 /// named in0..in{n-1}, outputs out0..out{n-1} (ascending). This is the
 /// "bitonic sorting accelerator written in VHDL" of the paper's GHDL test.
 std::string bitonicSorterNetlist(unsigned n, unsigned width = 64);
+
+/// Pipeline depth of the @p n-input bitonic network, log2(n)·(log2(n)+1)/2:
+/// the cycles one sort takes behind the interpreted and compiled wrappers.
+unsigned bitonicStages(unsigned n);
+
+/// Element count of a "bitonic[:N]" builtin-design spec (N defaults to 8),
+/// the argument of g5r-lint's and g5r-netlistc's --builtin. N must be all
+/// digits and fit in unsigned; otherwise, or for a design other than
+/// bitonic, throws NetlistError naming the spec.
+unsigned parseBitonicSpec(std::string_view spec);
+
+/// A bitonic model config string: comma-separated "n=<N>" (a power of two
+/// in [2, 64], default 16) and "eval=dirty|compiled" (default dirty: the
+/// interpreter; compiled: the g5r-netlistc library). The interpreted model
+/// and the model loader both read it through parseBitonicConfig().
+struct BitonicConfig {
+    unsigned n = 16;
+    bool compiled = false;
+};
+
+/// Parse @p config; a bad size, an unknown eval= value or an unknown token
+/// throws NetlistError quoting the whole config.
+BitonicConfig parseBitonicConfig(std::string_view config);
 
 }  // namespace g5r::rtl

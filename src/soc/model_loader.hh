@@ -11,6 +11,7 @@
 #include <string>
 
 #include "bridge/rtl_model.hh"
+#include "rtl/netlist.hh"
 
 #ifndef G5R_MODEL_DIR
 #define G5R_MODEL_DIR "./models"
@@ -34,26 +35,14 @@ inline std::string compiledNetlistModelPath(const std::string& shortName,
 }
 
 /// Resolve the library for a model + config pair: the interpreted model by
-/// default, the netlistc-compiled one when the config carries eval=compiled
-/// (the element count follows the same "n=" token the interpreted wrapper
-/// parses — default 16, powers of two up to 64).
+/// default, the netlistc-compiled one when the config carries eval=compiled.
+/// Only the bitonic model reads a config, so every config is parsed with
+/// rtl::parseBitonicConfig, which throws on a malformed one.
 inline std::string rtlModelPathForConfig(const std::string& shortName,
                                          const std::string& config) {
-    const auto evalPos = config.find("eval=");
-    if (evalPos == std::string::npos ||
-        config.compare(evalPos + 5, 8, "compiled") != 0) {
-        return rtlModelPath(shortName);
-    }
-    unsigned n = 16;
-    if (const auto nPos = config.find("n="); nPos != std::string::npos &&
-        (nPos == 0 || config[nPos - 1] == ',')) {
-        const unsigned parsed = static_cast<unsigned>(
-            std::strtoul(config.c_str() + nPos + 2, nullptr, 10));
-        if (parsed >= 2 && (parsed & (parsed - 1)) == 0 && parsed <= 64) {
-            n = parsed;
-        }
-    }
-    return compiledNetlistModelPath(shortName, n);
+    const rtl::BitonicConfig parsed = rtl::parseBitonicConfig(config);
+    return parsed.compiled ? compiledNetlistModelPath(shortName, parsed.n)
+                           : rtlModelPath(shortName);
 }
 
 /// Load "pmu", "nvdla" or "bitonic" (or any model following the naming

@@ -1,16 +1,16 @@
 // Evaluator identity at the bridge level: the same bitonic sort driven
-// through the dlopen'd model under both interpreter modes — and through the
-// g5r-netlistc compiled library (eval=compiled) — must produce byte-identical
-// flight recordings (the PR 5 recorder is the witness — g5r-diff exit 0 ==
+// through the dlopen'd dirty-bit interpreter model and through the
+// g5r-netlistc compiled library (eval=compiled) must produce byte-identical
+// flight recordings (the recorder is the witness — g5r-diff exit 0 ==
 // DivergenceReport{!diverged}) and equal sorted outputs read back over the
 // device channel.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -44,15 +44,13 @@ std::vector<std::uint64_t> runRecordedSort(const std::string& config,
     opts.recordEnabled = true;
     opts.recordPath = recordPath;
     opts.recordIntervalTicks = 100'000;
-    auto session = obs::ObsSession::create(sim, opts, "levelized_identity");
+    auto session = obs::ObsSession::create(sim, opts, "compiled_identity");
 
     RtlObjectParams params;
     // eval=compiled resolves to the g5r-netlistc library (libbitonic_cN.so),
     // everything else to the interpreted model.
-    auto rtl = std::make_unique<RtlObject>(
-        sim, "bitonic_obj", params,
-        SharedLibModel::load(rtlModelPathForConfig("bitonic", config), config),
-        nullptr);
+    auto rtl = std::make_unique<RtlObject>(sim, "bitonic_obj", params,
+                                           loadRtlModel("bitonic", config), nullptr);
     auto req = std::make_unique<testing::TestRequester>(sim, "host");
     req->port().bind(rtl->cpuSidePort(0));
 
@@ -92,43 +90,10 @@ std::vector<std::uint64_t> runRecordedSort(const std::string& config,
     return sorted;
 }
 
-class LevelizedRecord : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(LevelizedRecord, BothEvalModesProduceIdenticalRecordingsAndOutputs) {
-    const unsigned n = GetParam();
-    Rng rng{0x1DE + n};
-    std::vector<std::uint64_t> data(n);
-    for (auto& v : data) v = rng.below(100'000);
-
-    const std::string base = "n=" + std::to_string(n);
-    const std::string recDirty = tmpPath("g5r_dirty_" + std::to_string(n) + ".g5rec");
-    const std::string recLevel = tmpPath("g5r_level_" + std::to_string(n) + ".g5rec");
-
-    const auto outDirty = runRecordedSort(base + ",eval=dirty", data, recDirty);
-    const auto outLevel = runRecordedSort(base + ",eval=levelized", data, recLevel);
-
-    // Functional identity: both modes sort, and sort identically.
-    std::vector<std::uint64_t> expected = data;
-    std::sort(expected.begin(), expected.end());
-    EXPECT_EQ(outDirty, expected);
-    EXPECT_EQ(outLevel, outDirty);
-
-    // Recorder identity: the library face of `g5r-diff a b` returning 0.
-    const auto rep = obs::diffRecordingFiles(recDirty, recLevel, obs::DiffLane::kBoth);
-    EXPECT_TRUE(rep.comparable) << rep.error;
-    EXPECT_FALSE(rep.diverged) << rep.lane << " @ interval " << rep.intervalIndex
-                               << ": " << rep.detail;
-
-    std::remove(recDirty.c_str());
-    std::remove(recLevel.c_str());
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, LevelizedRecord, ::testing::Values(4u, 8u, 16u));
-
-// The compiled backend through the same lens: the native .so emitted by
-// g5r-netlistc, loaded over the identical dlopen ABI, must be recording-
-// identical to BOTH interpreter modes — the acceptance witness that codegen
-// preserves per-tick device behaviour, not just final values.
+// The native .so emitted by g5r-netlistc, loaded over the same dlopen ABI,
+// must be recording-identical to the dirty-bit interpreter on both lanes —
+// the acceptance witness that codegen preserves per-tick device behaviour,
+// not just final values.
 class CompiledRecord : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(CompiledRecord, CompiledModelIsRecordingIdenticalToBothInterpreters) {
@@ -140,48 +105,43 @@ TEST_P(CompiledRecord, CompiledModelIsRecordingIdenticalToBothInterpreters) {
     const std::string base = "n=" + std::to_string(n);
     const std::string recDirty =
         tmpPath("g5r_cdirty_" + std::to_string(n) + ".g5rec");
-    const std::string recLevel =
-        tmpPath("g5r_clevel_" + std::to_string(n) + ".g5rec");
     const std::string recCompiled =
         tmpPath("g5r_ccomp_" + std::to_string(n) + ".g5rec");
 
     const auto outDirty = runRecordedSort(base + ",eval=dirty", data, recDirty);
-    const auto outLevel = runRecordedSort(base + ",eval=levelized", data, recLevel);
     const auto outCompiled =
         runRecordedSort(base + ",eval=compiled", data, recCompiled);
 
     std::vector<std::uint64_t> expected = data;
     std::sort(expected.begin(), expected.end());
-    EXPECT_EQ(outCompiled, expected);
+    EXPECT_EQ(outDirty, expected);
     EXPECT_EQ(outCompiled, outDirty);
-    EXPECT_EQ(outCompiled, outLevel);
 
-    for (const auto* other : {&recDirty, &recLevel}) {
-        const auto rep =
-            obs::diffRecordingFiles(*other, recCompiled, obs::DiffLane::kBoth);
-        EXPECT_TRUE(rep.comparable) << rep.error;
-        EXPECT_FALSE(rep.diverged)
-            << *other << " vs compiled: " << rep.lane << " @ interval "
-            << rep.intervalIndex << ": " << rep.detail;
-    }
+    // Recorder identity: the library face of `g5r-diff a b` returning 0.
+    const auto rep = obs::diffRecordingFiles(recDirty, recCompiled, obs::DiffLane::kBoth);
+    EXPECT_TRUE(rep.comparable) << rep.error;
+    EXPECT_FALSE(rep.diverged) << rep.lane << " @ interval " << rep.intervalIndex
+                               << ": " << rep.detail;
 
     std::remove(recDirty.c_str());
-    std::remove(recLevel.c_str());
     std::remove(recCompiled.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, CompiledRecord, ::testing::Values(4u, 8u, 16u));
 
-TEST(LevelizedRecord, EnvVarSelectsTheLevelizedMode) {
-    // GEM5RTL_NETLIST_EVAL covers fixed-config deployments; the run must
-    // still sort correctly.
-    ::setenv("GEM5RTL_NETLIST_EVAL", "levelized", 1);
-    const std::string rec = tmpPath("g5r_env_level.g5rec");
-    const std::vector<std::uint64_t> data{9, 3, 7, 1};
-    const auto out = runRecordedSort("n=4", data, rec);
-    ::unsetenv("GEM5RTL_NETLIST_EVAL");
-    EXPECT_EQ(out, (std::vector<std::uint64_t>{1, 3, 7, 9}));
-    std::remove(rec.c_str());
+// A malformed config fails the load on both library paths, naming the
+// config, so a bad size never runs as another size.
+TEST(ModelLoader, RejectsMalformedBitonicConfigs) {
+    for (const std::string config :
+         {"n=12", "eval=compiled,n=12", "n=8x", "xn=8", "eval=fast", "eval=compiled,n=128"}) {
+        try {
+            loadRtlModel("bitonic", config);
+            ADD_FAILURE() << "loaded with config '" << config << "'";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string{e.what()}.find(config), std::string::npos) << e.what();
+        }
+    }
+    EXPECT_NE(loadRtlModel("bitonic", "eval=compiled,n=8"), nullptr);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "bridge/rtl_model.hh"
@@ -117,9 +119,16 @@ TEST_P(BitonicRandomSweep, MatchesStdSort) {
 INSTANTIATE_TEST_SUITE_P(Sizes, BitonicRandomSweep, ::testing::Values(2u, 4u, 8u, 16u, 32u));
 
 TEST(BitonicModel, RejectsBadConfig) {
-    // Non-power-of-two falls back to the default size rather than failing.
-    BitonicHarness b{"n=3"};
-    EXPECT_EQ(b.readReg(0x210), 16u);
+    // A bad size or eval= value fails create(), and the bridge's error names
+    // the config.
+    for (const char* config : {"n=3", "n=12", "n=8x", "eval=fast"}) {
+        try {
+            BitonicHarness b{config};
+            ADD_FAILURE() << "created with config '" << config << "'";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string{e.what()}.find(config), std::string::npos) << e.what();
+        }
+    }
 }
 
 }  // namespace

@@ -426,6 +426,15 @@ TEST(ReqTrace, CritpathCliExitCodes) {
         const char* argv[] = {"g5r-critpath", "--bogus", path.c_str()};
         EXPECT_EQ(critpathCliMain(3, argv), 2);
     }
+    {
+        const char* argv[] = {"g5r-critpath", "--waterfall=1", path.c_str()};
+        EXPECT_EQ(critpathCliMain(3, argv), 0);
+    }
+    // A malformed count is a usage error, not 0 ("all roots").
+    for (const char* bad : {"--waterfall=abc", "--waterfall=3x", "--waterfall=", "--waterfall=-1"}) {
+        const char* argv[] = {"g5r-critpath", bad, path.c_str()};
+        EXPECT_EQ(critpathCliMain(3, argv), 2) << bad;
+    }
     std::remove(path.c_str());
 }
 

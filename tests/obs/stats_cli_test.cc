@@ -281,6 +281,24 @@ TEST(StatsCli, MalformedThresholdsAreUsageErrors) {
     std::remove(basePath.c_str());
 }
 
+TEST(StatsCli, MalformedTimelineMaxIsAUsageError) {
+    const std::string path = ::testing::TempDir() + "/cli_max.metrics.jsonl";
+    {
+        std::ofstream out(path);
+        out << R"({"g5rMetrics":1,"schema":1,"run":"t","intervalTicks":1000})" "\n"
+            << R"({"t":1000,"d":{"mem.numReads":50,"mem.numWrites":7}})" "\n"
+            << R"({"end":1000,"samples":1})" "\n";
+    }
+    EXPECT_EQ(runCli({"timeline", path.c_str(), "--max", "1"}), 0);
+    EXPECT_EQ(runCli({"timeline", path.c_str(), "--max", "0"}), 0);  // No limit.
+    // 0 means "no limit", so a typo must not quietly read as a number.
+    for (const char* bad : {"abc", "8x", "", "-1", " 2"}) {
+        SCOPED_TRACE(std::string{"value \""} + bad + '"');
+        EXPECT_EQ(runCli({"timeline", path.c_str(), "--max", bad}), 2);
+    }
+    std::remove(path.c_str());
+}
+
 TEST(StatsCli, RenderersProduceReadableOutput) {
     const MetricsTimeline tl = timelineOf(100.0, 20000.0);
     const std::string strip = renderTimeline(tl, "", 0);

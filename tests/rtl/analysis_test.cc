@@ -1,7 +1,7 @@
 // The netlist dataflow-analysis layer (src/rtl/analysis/): SCC condensation
 // and levelization, value-range constant propagation, and structural cone
 // dedup — plus the determinism guarantees the compiled backend and the
-// levelized interpreter mode rely on.
+// interpreter's eval order rely on.
 #include <gtest/gtest.h>
 
 #include <vector>

@@ -1,8 +1,7 @@
 // Compiled netlist backend conformance: every NetOp, across the interesting
-// widths, must evaluate identically under dirty-bit interpretation,
-// levelized interpretation, and the g5r-netlistc generated native code —
-// loaded through the raw-kernel face of the emitted library, i.e. the same
-// dlopen path the simulator uses.
+// widths, must evaluate identically under the dirty-bit interpreter and the
+// g5r-netlistc generated native code — loaded through the raw-kernel face of
+// the emitted library, i.e. the same dlopen path the simulator uses.
 //
 // These tests invoke the host C++ compiler at runtime (once per width), so
 // they live in their own binary rather than test_rtl.
@@ -106,8 +105,6 @@ TEST(CodegenConformance, EveryOpMatchesBothInterpretersAcrossWidths) {
         const std::string src = everyOpNetlist(w);
 
         Netlist dirty{src};
-        Netlist lev{src};
-        lev.setEvalMode(EvalMode::kLevelized);
         Compiled compiled{src, "everyop_w" + std::to_string(w)};
         ASSERT_NE(compiled.kernel, nullptr);
         auto& kern = *compiled.kernel;
@@ -124,7 +121,6 @@ TEST(CodegenConformance, EveryOpMatchesBothInterpretersAcrossWidths) {
         EXPECT_EQ(kern.inputWidth(static_cast<std::uint32_t>(is)), 1u);
 
         dirty.reset();
-        lev.reset();
         kern.reset();
 
         Rng rng{0xC0DE60ull + w};
@@ -133,11 +129,9 @@ TEST(CodegenConformance, EveryOpMatchesBothInterpretersAcrossWidths) {
         for (const std::uint64_t a : operands) {
             for (const std::uint64_t b : operands) {
                 sel ^= 1;
-                for (Netlist* nl : {&dirty, &lev}) {
-                    nl->setInput("a", a);
-                    nl->setInput("b", b);
-                    nl->setInput("s", sel);
-                }
+                dirty.setInput("a", a);
+                dirty.setInput("b", b);
+                dirty.setInput("s", sel);
                 kern.setInput(static_cast<std::uint32_t>(ia), a);
                 kern.setInput(static_cast<std::uint32_t>(ib), b);
                 kern.setInput(static_cast<std::uint32_t>(is), sel);
@@ -145,14 +139,10 @@ TEST(CodegenConformance, EveryOpMatchesBothInterpretersAcrossWidths) {
                 // tick() = eval + latch: compares the combinational results
                 // of this cycle and the register value captured last cycle.
                 dirty.tick();
-                lev.tick();
                 kern.tick();
                 for (std::uint32_t o = 0; o < kern.numOutputs(); ++o) {
                     const std::string name = kern.outputName(o);
-                    const std::uint64_t expect = dirty.output(name);
-                    ASSERT_EQ(lev.output(name), expect)
-                        << name << " a=" << a << " b=" << b;
-                    ASSERT_EQ(kern.output(o), expect)
+                    ASSERT_EQ(kern.output(o), dirty.output(name))
                         << name << " a=" << a << " b=" << b;
                 }
             }
@@ -297,8 +287,6 @@ TEST(CodegenConformance, SequentialLogicMatchesAcrossBackends) {
         output o acc
     )";
     Netlist dirty{src};
-    Netlist lev{src};
-    lev.setEvalMode(EvalMode::kLevelized);
     Compiled compiled{src, "seq"};
     ASSERT_NE(compiled.kernel, nullptr);
     EXPECT_EQ(compiled.stats.regs, 1u);
@@ -309,34 +297,26 @@ TEST(CodegenConformance, SequentialLogicMatchesAcrossBackends) {
     ASSERT_GE(ie, 0);
 
     dirty.reset();
-    lev.reset();
     kern.reset();
     Rng rng{42};
     for (int i = 0; i < 200; ++i) {
         const std::uint64_t d = rng.next() & 0xFF;
         const std::uint64_t en = rng.next() & 1;
-        for (Netlist* nl : {&dirty, &lev}) {
-            nl->setInput("d", d);
-            nl->setInput("en", en);
-            nl->tick();
-        }
+        dirty.setInput("d", d);
+        dirty.setInput("en", en);
+        dirty.tick();
         kern.setInput(static_cast<std::uint32_t>(id), d);
         kern.setInput(static_cast<std::uint32_t>(ie), en);
         kern.tick();
-        const std::uint64_t expect = dirty.output("o");
-        ASSERT_EQ(lev.output("o"), expect) << "cycle " << i;
-        ASSERT_EQ(kern.output(0), expect) << "cycle " << i;
+        ASSERT_EQ(kern.output(0), dirty.output("o")) << "cycle " << i;
     }
 
-    // reset() returns all three to the same state.
+    // reset() returns both to the same state.
     dirty.reset();
-    lev.reset();
     kern.reset();
     dirty.eval();
-    lev.eval();
     kern.eval();
     EXPECT_EQ(dirty.output("o"), 0u);
-    EXPECT_EQ(lev.output("o"), 0u);
     EXPECT_EQ(kern.output(0), 0u);
 }
 

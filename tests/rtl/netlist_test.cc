@@ -280,88 +280,9 @@ TEST_P(BitonicSweep, SortsRandomVectors) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, BitonicSweep, ::testing::Values(2u, 4u, 8u, 16u, 32u));
 
-// ------------------------------------------------------ levelized eval mode --
+// ------------------------------------------------- schedule and bitonic helpers --
 
-/// Drive @p reference and @p candidate through the same stimulus and demand
-/// every named net agree after every eval()/tick().
-void expectLockstep(Netlist& reference, Netlist& candidate, unsigned inputs,
-                    std::uint64_t seed) {
-    Rng rng{seed};
-    for (int cycle = 0; cycle < 25; ++cycle) {
-        for (unsigned i = 0; i < inputs; ++i) {
-            const std::uint64_t v = rng.next();
-            reference.setInput("in" + std::to_string(i), v);
-            candidate.setInput("in" + std::to_string(i), v);
-        }
-        reference.tick();
-        candidate.tick();
-        for (const auto& node : reference.graph().nodes) {
-            ASSERT_EQ(reference.probe(node.name), candidate.probe(node.name))
-                << "cycle " << cycle << " net " << node.name;
-        }
-    }
-}
-
-TEST(NetlistLevelized, MatchesDirtyBitOnBitonicNetworks) {
-    for (const unsigned n : {4u, 8u, 16u}) {
-        const std::string src = bitonicSorterNetlist(n);
-        Netlist dirty{src};
-        Netlist levelized{src};
-        levelized.setEvalMode(EvalMode::kLevelized);
-        ASSERT_EQ(levelized.evalMode(), EvalMode::kLevelized);
-        expectLockstep(dirty, levelized, n, 0xB170 + n);
-    }
-}
-
-TEST(NetlistLevelized, MatchesDirtyBitOnSequentialLogic) {
-    const std::string src = R"(
-        input in0 8
-        const one 1 8
-        add next acc one 8
-        reg acc next 0 8
-        ltu wrap in0 acc
-        mux out wrap acc in0 8
-        output o out
-    )";
-    Netlist dirty{src};
-    Netlist levelized{src};
-    levelized.setEvalMode(EvalMode::kLevelized);
-    expectLockstep(dirty, levelized, 1, 0x5EC);
-}
-
-TEST(NetlistLevelized, FullRecomputeCountsEveryCombNode) {
-    Netlist nl{bitonicSorterNetlist(4)};
-    nl.setEvalMode(EvalMode::kLevelized);
-    nl.eval();
-    const std::size_t comb = nl.schedule().order.size();
-    EXPECT_EQ(nl.lastEvalComputedNodes(), comb);
-    nl.eval();  // No quiescent fast path in levelized mode: full recompute.
-    EXPECT_EQ(nl.lastEvalComputedNodes(), comb);
-}
-
-TEST(NetlistLevelized, ModeCanBeSwitchedMidRun) {
-    const std::string src = bitonicSorterNetlist(4);
-    Netlist reference{src};
-    Netlist switching{src};
-    Rng rng{42};
-    for (int cycle = 0; cycle < 20; ++cycle) {
-        switching.setEvalMode((cycle % 3 == 0) ? EvalMode::kLevelized
-                                               : EvalMode::kDirtyBit);
-        for (unsigned i = 0; i < 4; ++i) {
-            const std::uint64_t v = rng.below(1000);
-            reference.setInput("in" + std::to_string(i), v);
-            switching.setInput("in" + std::to_string(i), v);
-        }
-        reference.eval();
-        switching.eval();
-        for (unsigned i = 0; i < 4; ++i) {
-            const std::string out = "out" + std::to_string(i);
-            ASSERT_EQ(reference.output(out), switching.output(out)) << "cycle " << cycle;
-        }
-    }
-}
-
-TEST(NetlistLevelized, ScheduleIsLevelMajorAndCoversAllCombNodes) {
+TEST(Netlist, ScheduleIsLevelMajorAndCoversAllCombNodes) {
     Netlist nl{bitonicSorterNetlist(8)};
     const auto& sched = nl.schedule();
     EXPECT_TRUE(sched.acyclic());
@@ -373,6 +294,46 @@ TEST(NetlistLevelized, ScheduleIsLevelMajorAndCoversAllCombNodes) {
     EXPECT_EQ(sched.order.size(), comb);
     for (std::size_t i = 1; i < sched.order.size(); ++i) {
         EXPECT_LE(sched.levelOf[sched.order[i - 1]], sched.levelOf[sched.order[i]]);
+    }
+}
+
+TEST(Netlist, BitonicStagesIsTheNetworkDepth) {
+    for (const unsigned n : {2u, 4u, 8u, 16u, 64u}) {
+        EXPECT_EQ(bitonicStages(n), Netlist{bitonicSorterNetlist(n)}.schedule().depth() / 2)
+            << "n=" << n;
+    }
+    EXPECT_EQ(bitonicStages(16), 10u);
+}
+
+TEST(Netlist, BitonicSpecSizeIsStrict) {
+    EXPECT_EQ(parseBitonicSpec("bitonic"), 8u);
+    EXPECT_EQ(parseBitonicSpec("bitonic:16"), 16u);
+    EXPECT_EQ(parseBitonicSpec("bitonic:4294967295"), 4294967295u);
+    // Trailing garbage, overflow past unsigned (once truncated to 4), signs,
+    // spaces and empty sizes are all errors; so is an unknown design.
+    for (const char* bad : {"bitonic:8x", "bitonic:4294967300", "bitonic:-8", "bitonic:+8",
+                            "bitonic: 8", "bitonic:", "sorter:8", ""}) {
+        EXPECT_THROW(parseBitonicSpec(bad), NetlistError) << bad;
+    }
+}
+
+TEST(Netlist, BitonicConfigIsParsedStrictly) {
+    EXPECT_EQ(parseBitonicConfig("").n, 16u);
+    EXPECT_FALSE(parseBitonicConfig("").compiled);
+    const BitonicConfig c = parseBitonicConfig("eval=compiled,n=32");
+    EXPECT_EQ(c.n, 32u);
+    EXPECT_TRUE(c.compiled);
+    EXPECT_FALSE(parseBitonicConfig("n=2,eval=dirty").compiled);
+    for (const char* bad : {"n=12", "n=1", "n=128", "n=8x", "n=", "xn=8", "eval=fast",
+                            "eval=", "n=8,bogus"}) {
+        try {
+            parseBitonicConfig(bad);
+            ADD_FAILURE() << "accepted '" << bad << "'";
+        } catch (const NetlistError& e) {
+            EXPECT_NE(std::string{e.what()}.find(std::string{"'"} + bad + "'"),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 

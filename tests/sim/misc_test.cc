@@ -1,5 +1,6 @@
-// Odds and ends: deterministic RNG, stats dumping from a whole simulation,
-// the hardware event bus, and kernel invariant enforcement (death tests).
+// Odds and ends: deterministic RNG, strict decimal parsing, stats dumping
+// from a whole simulation, the hardware event bus, and kernel invariant
+// enforcement (death tests).
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -7,6 +8,7 @@
 
 #include "sim/event_queue.hh"
 #include "sim/hw_events.hh"
+#include "sim/parse.hh"
 #include "sim/rng.hh"
 #include "sim/sim_object.hh"
 #include "sim/simulation.hh"
@@ -32,6 +34,19 @@ TEST(Rng, DeterministicAndWellSpread) {
         EXPECT_GE(v, 5u);
         EXPECT_LE(v, 9u);
     }
+}
+
+TEST(ParseDecimal, AcceptsOnlyWholeDigitStringsInRange) {
+    EXPECT_EQ(parseDecimal("0"), 0u);
+    EXPECT_EQ(parseDecimal("64"), 64u);
+    EXPECT_EQ(parseDecimal("18446744073709551615"),
+              std::numeric_limits<std::uint64_t>::max());
+    EXPECT_EQ(parseDecimal("4294967295", ~0u), 4294967295u);
+    for (const char* bad : {"", "8x", "x8", "-1", "+1", " 1", "1 ", "0x10",
+                            "18446744073709551616"}) {
+        EXPECT_FALSE(parseDecimal(bad)) << '"' << bad << '"';
+    }
+    EXPECT_FALSE(parseDecimal("4294967296", ~0u));  // Does not fit unsigned.
 }
 
 TEST(HwEventBus, AccumulatesAndDrains) {
