@@ -6,11 +6,11 @@
 //   dmaSpm/8 — DMA + SPM staging with a narrow 8-line DMA window
 //   dmaSpm/64— same point with the default 64-line window
 //
-// then prints each run's blame table (via the g5r-critpath library) and
+// then prints each run's blame table (via the `g5r critpath` library) and
 // exits non-zero unless:
 //   * every run completed with a verified checksum,
 //   * per-stage blame sums to exactly 100% of every request window
-//     (g5r-critpath --assert-sum on each sidecar),
+//     (`g5r critpath --assert-sum` on each sidecar),
 //   * the dmaSpm win over direct shows up as blame: the direct path spends
 //     a larger share in dramService+xbarQueue than the staged path,
 //   * widening the DMA in-flight window shrinks staging blame:
@@ -96,9 +96,9 @@ int main() {
 
         // The CLI re-derives blame from the sidecar and re-checks the
         // sums-to-100% invariant per request; exercise it end to end.
-        const char* argv[] = {"g5r-critpath", "--assert-sum", run.sidecar.c_str()};
+        const char* argv[] = {"critpath", "--assert-sum", run.sidecar.c_str()};
         check(obs::critpathCliMain(3, argv) == 0,
-              "g5r-critpath --assert-sum on the sidecar");
+              "g5r critpath --assert-sum on the sidecar");
     }
 
     const auto dramShare = [](const experiments::DseRunResult& r) {

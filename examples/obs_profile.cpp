@@ -6,13 +6,13 @@
 //   * <dir>/fig7_hbm_q64.trace.json — load it at https://ui.perfetto.dev
 //     (dir from GEM5RTL_TRACE=<dir>, default current directory)
 //   * <dir>/fig7_hbm_q64.metrics.jsonl — the stats timeline, when
-//     GEM5RTL_METRICS=<dir> is set; render it with `g5r-stats timeline`
+//     GEM5RTL_METRICS=<dir> is set; render it with `g5r stats timeline`
 //   * a host-time profile table: RTL eval vs memory system vs queue overhead
 //   * per-master memory-bus latency distributions with p50/p99 percentiles
 //
 // CI runs this with GEM5RTL_TRACE=trace-out GEM5RTL_METRICS=trace-out and
 // then validates the emitted trace with tests/obs (TraceCheck.*) and the
-// timeline with g5r-stats.
+// timeline with `g5r stats`.
 #include <cstdio>
 
 #include "sim/logging.hh"
@@ -61,7 +61,7 @@ int main() {
     }
 
     if (!result.metricsPath.empty()) {
-        std::printf("\nmetrics timeline written to %s (render with g5r-stats)\n",
+        std::printf("\nmetrics timeline written to %s (render with g5r stats)\n",
                     result.metricsPath.c_str());
     }
     return result.completed && result.checksumsOk ? 0 : 1;

@@ -1,7 +1,7 @@
 // Deep-debugging demo: flight-record two runs of the same design point that
 // differ in one knob (idle-tick quiescence gating on vs off), then locate
 // their first divergence with the obs/diff finder — the library behind the
-// g5r-diff CLI.
+// `g5r diff` CLI.
 //
 // Gating changes the *dispatch* stream by design (idle RTL ticks are
 // descheduled) while leaving the *packet* stream bit-identical, so this
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
     std::printf("--- packet lane (the gating identity check) ---\n%s",
                 obs::formatDivergenceReport(packets, "gated", "ungated").c_str());
 
-    // Exit like g5r-diff would on the packet lane: divergence here is a bug.
+    // Exit like `g5r diff` would on the packet lane: divergence here is a bug.
     if (!packets.comparable) return 2;
     if (packets.diverged) return 1;
     if (!both.comparable || !both.diverged) {

@@ -79,7 +79,7 @@ void emitText(const Report& report, std::ostream& os, bool summary = true);
 ///   "line":N,"nets":[...]}],"errors":N,"warnings":N}
 void emitJson(const Report& report, std::ostream& os);
 
-/// One registry row per stable rule ID (drives `g5r-lint --list-rules` and
+/// One registry row per stable rule ID (drives `g5r lint --list-rules` and
 /// keeps DESIGN.md honest about what exists).
 struct RuleInfo {
     std::string_view id;

@@ -45,7 +45,7 @@ namespace g5r::lint {
 
 struct NetlistLintOptions {
     /// G5R-DEEP-LOGIC fires when the levelized combinational depth exceeds
-    /// this many levels (`g5r-lint --max-level N`).
+    /// this many levels (`g5r lint --max-level N`).
     unsigned maxLogicDepth = 64;
 };
 

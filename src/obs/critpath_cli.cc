@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <string_view>
 #include <vector>
 
 #include "exp/json.hh"
-#include "sim/parse.hh"
+#include "sim/args.hh"
 
 namespace g5r::obs {
 
@@ -181,57 +180,41 @@ exp::Json blameReportJson(const ReqTraceFile& file, const BlameSummary& blame) {
     return doc;
 }
 
-namespace {
-
-int usage() {
-    std::cerr
-        << "usage: g5r-critpath [--json] [--waterfall[=N]] [--assert-sum] "
-           "<trace.reqtrace.jsonl>\n"
-           "  critical-path stage blame over a request-trace sidecar\n"
-           "  --json          machine-readable report on stdout\n"
-           "  --waterfall[=N] per-request glyph strips (first N roots; default all)\n"
-           "  --assert-sum    exit 1 unless per-stage blame sums to 100%% of every\n"
-           "                  request's end-to-end window\n";
-    return 2;
-}
-
-}  // namespace
-
 int critpathCliMain(int argc, const char* const* argv) {
     bool json = false;
     bool waterfall = false;
     bool assertSum = false;
     std::size_t waterfallCount = 0;
-    std::string path;
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg{argv[i]};
-        if (arg == "--json") {
-            json = true;
-        } else if (arg == "--waterfall") {
-            waterfall = true;
-        } else if (arg.rfind("--waterfall=", 0) == 0) {
-            const auto count = parseDecimal(arg.substr(std::strlen("--waterfall=")));
-            if (!count) return usage();
-            waterfall = true;
-            waterfallCount = static_cast<std::size_t>(*count);
-        } else if (arg == "--assert-sum") {
-            assertSum = true;
-        } else if (!arg.empty() && arg[0] == '-') {
-            return usage();
-        } else if (path.empty()) {
-            path = arg;
-        } else {
-            return usage();
-        }
-    }
-    if (path.empty()) return usage();
+    std::vector<std::string> paths;
+    ArgParser args{
+        "critpath",
+        "usage: g5r critpath [--json] [--waterfall[=N]] [--assert-sum] "
+        "<trace.reqtrace.jsonl>\n"
+        "  critical-path stage blame over a request-trace sidecar\n"
+        "  --json          machine-readable report on stdout\n"
+        "  --waterfall[=N] per-request glyph strips (first N roots; default all)\n"
+        "  --assert-sum    exit 1 unless per-stage blame sums to 100% of every\n"
+        "                  request's end-to-end window\n"};
+    args.flag("--json", json)
+        .optionalValue("--waterfall",
+                       [&](std::optional<std::string_view> v) {
+                           waterfall = true;
+                           if (!v) return true;
+                           const auto count = parseDecimal(*v);
+                           if (count) waterfallCount = static_cast<std::size_t>(*count);
+                           return count.has_value();
+                       })
+        .flag("--assert-sum", assertSum)
+        .positional(paths);
+    if (const auto exit = args.parse(argc, argv)) return *exit;
+    if (paths.size() != 1) return args.usageError();
+    const std::string& path = paths[0];
 
     ReqTraceFile file;
     try {
         file = readReqTrace(path);
     } catch (const std::exception& e) {
-        std::cerr << "g5r-critpath: " << e.what() << '\n';
-        return 2;
+        return args.fail(e.what());
     }
 
     const BlameSummary blame = computeBlame(file.records);
@@ -253,7 +236,7 @@ int critpathCliMain(int argc, const char* const* argv) {
         doc["sumOk"] = sumOk;
         std::cout << doc.dump() << '\n';
     } else {
-        std::printf("# g5r-critpath: %s\n", path.c_str());
+        std::printf("# g5r critpath: %s\n", path.c_str());
         std::printf("# run '%s', %zu requests (%zu roots), final tick %llu\n",
                     file.run.c_str(), file.records.size(), blame.roots.size(),
                     static_cast<unsigned long long>(file.endTick));

@@ -1,6 +1,6 @@
-// g5r-critpath — critical-path analysis over .reqtrace.jsonl sidecars.
+// `g5r critpath` — critical-path analysis over .reqtrace.jsonl sidecars.
 //
-//   g5r-critpath [--json] [--waterfall[=N]] [--assert-sum] <trace.reqtrace.jsonl>
+//   `g5r critpath` [--json] [--waterfall[=N]] [--assert-sum] <trace.reqtrace.jsonl>
 //
 // Renders per-stage blame tables (aggregate ticks, share of end-to-end time,
 // and share percentiles across root requests) and an optional per-request
@@ -42,8 +42,8 @@ std::string renderWaterfall(const std::vector<ReqRecord>& records,
 /// percent shares (shares of the summed root windows; they sum to 100).
 exp::Json blameReportJson(const ReqTraceFile& file, const BlameSummary& blame);
 
-/// Full CLI entry point (argv-style, argv[0] ignored). Writes to stdout /
-/// stderr; returns the process exit status (0/1/2).
+/// `g5r critpath` (argv-style, argv[0] ignored). Writes to stdout / stderr;
+/// returns the process exit status (0/1/2).
 int critpathCliMain(int argc, const char* const* argv);
 
 }  // namespace g5r::obs

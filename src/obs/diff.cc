@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <iostream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 
 #include "exp/json.hh"
+#include "sim/args.hh"
 
 namespace g5r::obs {
 
@@ -232,14 +234,14 @@ std::string formatDivergenceReport(const DivergenceReport& rep, const std::strin
                                    const std::string& nameB) {
     std::ostringstream os;
     if (!rep.comparable) {
-        os << "g5r-diff: recordings not comparable: " << rep.error << '\n';
+        os << "g5r diff: recordings not comparable: " << rep.error << '\n';
         return os.str();
     }
     if (!rep.diverged) {
-        os << "g5r-diff: recordings identical\n";
+        os << "g5r diff: recordings identical\n";
         return os.str();
     }
-    os << "g5r-diff: first divergence in " << rep.lane << " lane at interval "
+    os << "g5r diff: first divergence in " << rep.lane << " lane at interval "
        << rep.intervalIndex << " (ticks [" << rep.startTick << ", " << rep.endTick << "))\n";
     if (!rep.objectName.empty()) os << "  owning SimObject: " << rep.objectName << '\n';
     if (!rep.detail.empty()) os << "  " << rep.detail << '\n';
@@ -290,6 +292,32 @@ DivergenceReport diffRecordingFiles(const std::string& pathA, const std::string&
         rep.error = e.what();
         return rep;
     }
+}
+
+int diffCliMain(int argc, const char* const* argv) {
+    bool packetsOnly = false, json = false;
+    std::vector<std::string> paths;
+    ArgParser args{"diff",
+                   "usage: g5r diff [--packets-only] [--json] <a.g5rec> <b.g5rec>\n"
+                   "  compares two flight recordings (GEM5RTL_RECORD sidecars) and\n"
+                   "  reports the first divergent interval and owning SimObject.\n"
+                   "  --packets-only  ignore the dispatch lane (gated-vs-ungated pairs)\n"
+                   "  --json          one JSON report document on stdout\n"
+                   "exit status: 0 identical, 1 diverged, 2 usage or incomparable inputs\n"};
+    args.flag("--packets-only", packetsOnly).flag("--json", json).positional(paths);
+    if (const auto exit = args.parse(argc, argv)) return *exit;
+    if (paths.size() != 2) return args.usageError();
+
+    const DivergenceReport rep = diffRecordingFiles(
+        paths[0], paths[1], packetsOnly ? DiffLane::kPacketsOnly : DiffLane::kBoth);
+    if (json) {
+        std::cout << divergenceReportJson(rep, paths[0], paths[1]) << '\n';
+    } else if (!rep.comparable) {
+        return args.fail(rep.error);
+    } else {
+        std::cout << formatDivergenceReport(rep, paths[0], paths[1]);
+    }
+    return !rep.comparable ? 2 : (rep.diverged ? 1 : 0);
 }
 
 }  // namespace g5r::obs

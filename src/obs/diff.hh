@@ -51,7 +51,7 @@ DivergenceReport findFirstDivergence(const Recording& a, const Recording& b,
 std::string formatDivergenceReport(const DivergenceReport& rep, const std::string& nameA,
                                    const std::string& nameB);
 
-/// Machine-readable form of the same report (g5r-diff --json): one JSON
+/// Machine-readable form of the same report (`g5r diff --json`): one JSON
 /// document with every DivergenceReport field, plus the side labels.
 std::string divergenceReportJson(const DivergenceReport& rep, const std::string& nameA,
                                  const std::string& nameB);
@@ -60,5 +60,11 @@ std::string divergenceReportJson(const DivergenceReport& rep, const std::string&
 /// load error comes back as comparable == false.
 DivergenceReport diffRecordingFiles(const std::string& pathA, const std::string& pathB,
                                     DiffLane lane = DiffLane::kBoth);
+
+/// `g5r diff` (argv-style, argv[0] ignored). --json puts even an
+/// incomparable pair's report on stdout, so scripts never parse stderr.
+/// Returns 0 identical, 1 diverged, 2 usage error or unreadable/incomparable
+/// inputs.
+int diffCliMain(int argc, const char* const* argv);
 
 }  // namespace g5r::obs

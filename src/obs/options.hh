@@ -22,6 +22,9 @@
 //   GEM5RTL_REQTRACE=1       write <run>.reqtrace.jsonl request trace here
 //   GEM5RTL_REQTRACE=<dir>   write it to <dir> (created by the caller)
 //   GEM5RTL_REQTRACE=0       force request tracing off
+//
+// N and T must be whole decimal numbers >= 1: a malformed or zero value
+// exits 2 naming the variable rather than silently keeping the default.
 #pragma once
 
 #include <string>

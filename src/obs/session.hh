@@ -11,7 +11,7 @@
 //   * HostProfiler  — wall-time attribution per SimObject, folded into
 //     rtl/memory/core/other/queue buckets for the fig. 6/7 overhead story.
 //   * Recorder      — flight recording: interval digests of the dispatch
-//     and packet streams to a .g5rec sidecar for g5r-diff, plus the
+//     and packet streams to a .g5rec sidecar for `g5r diff`, plus the
 //     black-box ring panic() dumps.
 //
 // Event -> SimObject attribution works by name: event names in this

@@ -3,16 +3,17 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "exp/json.hh"
 #include "obs/metrics.hh"
-#include "sim/parse.hh"
+#include "sim/args.hh"
 
 namespace g5r::obs {
 
@@ -196,10 +197,10 @@ std::string formatStatsDiffReport(const StatsDiffReport& report,
                                   const std::string& currentPath) {
     std::ostringstream os;
     if (!report.comparable) {
-        os << "g5r-stats: not comparable: " << report.error << '\n';
+        os << "g5r stats: not comparable: " << report.error << '\n';
         return os.str();
     }
-    os << "g5r-stats diff\n  baseline: " << baselinePath << "\n  current:  " << currentPath
+    os << "g5r stats diff\n  baseline: " << baselinePath << "\n  current:  " << currentPath
        << '\n';
     for (const StatsDiffViolation& v : report.violations) {
         if (!v.note.empty()) {
@@ -330,212 +331,143 @@ std::string renderBenchPercentiles(const exp::Json& doc) {
 
 namespace {
 
-int usage() {
-    std::cerr
-        << "usage: g5r-stats <command> ...\n"
-           "  g5r-stats timeline <file.metrics.jsonl> [--channel SUBSTR] [--max N]\n"
-           "      render a GEM5RTL_METRICS timeline as per-channel strips\n"
-           "  g5r-stats percentiles <BENCH_*.json | file.metrics.jsonl>\n"
-           "      print latency percentile tables\n"
-           "  g5r-stats diff <baseline> <current> [--threshold F] [--metric NAME[=F]]\n"
-           "      compare two BENCH_*.json documents or two metrics timelines;\n"
-           "      exit 1 when any metric moves more than its relative threshold\n"
-           "      (default 0.25; --metric NAME=F overrides metrics containing NAME)\n";
-    return 2;
-}
+constexpr const char* kUsage =
+    "usage: g5r stats <command> ...\n"
+    "  g5r stats timeline <file.metrics.jsonl> [--channel SUBSTR] [--max N]\n"
+    "      render a GEM5RTL_METRICS timeline as per-channel strips\n"
+    "  g5r stats percentiles <BENCH_*.json | file.metrics.jsonl>\n"
+    "      print latency percentile tables\n"
+    "  g5r stats diff <baseline> <current> [--threshold F] [--metric NAME[=F]]\n"
+    "      compare two BENCH_*.json documents or two metrics timelines;\n"
+    "      exit 1 when any metric moves more than its relative threshold\n"
+    "      (default 0.25; --metric NAME=F overrides metrics containing NAME)\n";
 
 /// A relative threshold: the whole of @p text must parse as a number >= 0,
 /// so NaN, negatives and trailing characters are rejected.
-bool parseThreshold(const char* text, double& out) {
+bool parseThreshold(const std::string& text, double& out) {
     char* end = nullptr;
-    const double v = std::strtod(text, &end);
-    if (end == text || *end != '\0' || !(v >= 0.0)) return false;
+    const double v = std::strtod(text.c_str(), &end);
+    if (end == text.c_str() || *end != '\0' || !(v >= 0.0)) return false;
     out = v;
     return true;
 }
 
 /// What kind of stats file is this? BENCH documents are one JSON object;
 /// timelines are JSONL whose first line carries the g5rMetrics marker.
-enum class FileKind { kBench, kTimeline, kUnknown };
+enum class FileKind { kBench, kTimeline };
 
-FileKind sniffKind(const std::string& path, std::string& error) {
+FileKind sniffKind(const std::string& path) {
     std::ifstream in(path);
-    if (!in) {
-        error = "cannot open " + path;
-        return FileKind::kUnknown;
-    }
+    if (!in) throw std::runtime_error("cannot open " + path);
     std::string firstLine;
     std::getline(in, firstLine);
-    if (firstLine.find("\"g5rMetrics\"") != std::string::npos) return FileKind::kTimeline;
-    return FileKind::kBench;
+    return firstLine.find("\"g5rMetrics\"") != std::string::npos ? FileKind::kTimeline
+                                                                 : FileKind::kBench;
 }
 
-bool loadBench(const std::string& path, exp::Json& doc, std::string& error) {
+exp::Json loadBench(const std::string& path) {
     std::ifstream in(path);
-    if (!in) {
-        error = "cannot open " + path;
-        return false;
-    }
+    if (!in) throw std::runtime_error("cannot open " + path);
     std::stringstream buffer;
     buffer << in.rdbuf();
     try {
-        doc = exp::Json::parse(buffer.str());
+        return exp::Json::parse(buffer.str());
     } catch (const std::exception& e) {
-        error = path + ": " + e.what();
-        return false;
+        throw std::runtime_error(path + ": " + e.what());
     }
-    return true;
 }
 
-int runDiff(const std::string& basePath, const std::string& curPath,
-            const StatsDiffOptions& opts) {
-    std::string error;
-    const FileKind baseKind = sniffKind(basePath, error);
-    if (baseKind == FileKind::kUnknown) {
-        std::cerr << "g5r-stats: " << error << '\n';
-        return 2;
+StatsDiffReport diffFiles(const std::string& basePath, const std::string& curPath,
+                          const StatsDiffOptions& opts) {
+    const FileKind kind = sniffKind(basePath);
+    if (sniffKind(curPath) != kind) {
+        throw std::runtime_error("cannot diff a BENCH document against a timeline");
     }
-    const FileKind curKind = sniffKind(curPath, error);
-    if (curKind == FileKind::kUnknown) {
-        std::cerr << "g5r-stats: " << error << '\n';
-        return 2;
+    if (kind == FileKind::kBench) {
+        return diffBenchDocuments(loadBench(basePath), loadBench(curPath), opts);
     }
-    if (baseKind != curKind) {
-        std::cerr << "g5r-stats: cannot diff a BENCH document against a timeline\n";
-        return 2;
-    }
+    return diffTimelines(readMetricsTimeline(basePath), readMetricsTimeline(curPath), opts);
+}
 
-    StatsDiffReport report;
-    if (baseKind == FileKind::kBench) {
-        exp::Json base, cur;
-        if (!loadBench(basePath, base, error) || !loadBench(curPath, cur, error)) {
-            std::cerr << "g5r-stats: " << error << '\n';
-            return 2;
-        }
-        report = diffBenchDocuments(base, cur, opts);
-    } else {
-        try {
-            const MetricsTimeline base = readMetricsTimeline(basePath);
-            const MetricsTimeline cur = readMetricsTimeline(curPath);
-            report = diffTimelines(base, cur, opts);
-        } catch (const std::exception& e) {
-            std::cerr << "g5r-stats: " << e.what() << '\n';
-            return 2;
-        }
+void printPercentiles(const std::string& path) {
+    if (sniffKind(path) == FileKind::kBench) {
+        std::cout << renderBenchPercentiles(loadBench(path));
+        return;
     }
-    std::cout << formatStatsDiffReport(report, basePath, curPath);
-    if (!report.comparable) return 2;
-    return report.violations.empty() ? 0 : 1;
+    // Timelines: the percentile channels are first-class; show them.
+    const MetricsTimeline tl = readMetricsTimeline(path);
+    for (const std::string& channel : tl.channels()) {
+        const auto tail = channel.rfind('.');
+        const std::string suffix = tail == std::string::npos ? channel : channel.substr(tail);
+        if (suffix != ".p50" && suffix != ".p99" && suffix != ".p999") continue;
+        std::printf("%-64s %14.6g\n", channel.c_str(), tl.finalValue(channel));
+    }
 }
 
 }  // namespace
 
 int statsCliMain(int argc, const char* const* argv) {
-    if (argc < 2) return usage();
-    const std::string cmd = argv[1];
+    const std::string cmd = argc > 1 ? argv[1] : "";
+    std::vector<std::string> paths;
+    std::string filter;
+    std::size_t maxChannels = 32;
+    StatsDiffOptions opts;
+    // Bare --metric NAME entries take the final --threshold, wherever it
+    // appears on the command line.
+    std::vector<std::size_t> bareMetrics;
+    std::size_t wantPaths = 0;
 
+    ArgParser args{"stats", kUsage};
+    args.positional(paths);
     if (cmd == "timeline") {
-        std::string path, filter;
-        std::size_t maxChannels = 32;
-        for (int i = 2; i < argc; ++i) {
-            if (std::strcmp(argv[i], "--channel") == 0 && i + 1 < argc) {
-                filter = argv[++i];
-            } else if (std::strcmp(argv[i], "--max") == 0 && i + 1 < argc) {
-                const auto max = parseDecimal(argv[++i]);
-                if (!max) return usage();
-                maxChannels = static_cast<std::size_t>(*max);
-            } else if (argv[i][0] == '-') {
-                return usage();
-            } else if (path.empty()) {
-                path = argv[i];
-            } else {
-                return usage();
-            }
-        }
-        if (path.empty()) return usage();
-        try {
-            std::cout << renderTimeline(readMetricsTimeline(path), filter, maxChannels);
-        } catch (const std::exception& e) {
-            std::cerr << "g5r-stats: " << e.what() << '\n';
-            return 2;
-        }
-        return 0;
-    }
-
-    if (cmd == "percentiles") {
-        if (argc != 3) return usage();
-        const std::string path = argv[2];
-        std::string error;
-        const FileKind kind = sniffKind(path, error);
-        if (kind == FileKind::kUnknown) {
-            std::cerr << "g5r-stats: " << error << '\n';
-            return 2;
-        }
-        if (kind == FileKind::kBench) {
-            exp::Json doc;
-            if (!loadBench(path, doc, error)) {
-                std::cerr << "g5r-stats: " << error << '\n';
-                return 2;
-            }
-            std::cout << renderBenchPercentiles(doc);
-        } else {
-            // Timelines: the percentile channels are first-class; show them.
-            try {
-                const MetricsTimeline tl = readMetricsTimeline(path);
-                for (const std::string& channel : tl.channels()) {
-                    const auto tail = channel.rfind('.');
-                    const std::string suffix =
-                        tail == std::string::npos ? channel : channel.substr(tail);
-                    if (suffix != ".p50" && suffix != ".p99" && suffix != ".p999") continue;
-                    std::printf("%-64s %14.6g\n", channel.c_str(),
-                                tl.finalValue(channel));
-                }
-            } catch (const std::exception& e) {
-                std::cerr << "g5r-stats: " << e.what() << '\n';
-                return 2;
-            }
-        }
-        return 0;
-    }
-
-    if (cmd == "diff") {
-        StatsDiffOptions opts;
-        std::string basePath, curPath;
-        // Bare --metric NAME entries take the final --threshold, wherever
-        // it appears on the command line.
-        std::vector<std::size_t> bareMetrics;
-        for (int i = 2; i < argc; ++i) {
-            if (std::strcmp(argv[i], "--threshold") == 0 && i + 1 < argc) {
-                if (!parseThreshold(argv[++i], opts.defaultThreshold)) return usage();
-            } else if (std::strcmp(argv[i], "--metric") == 0 && i + 1 < argc) {
-                const std::string spec = argv[++i];
+        args.value("--channel", filter).number("--max", maxChannels);
+        wantPaths = 1;
+    } else if (cmd == "percentiles") {
+        wantPaths = 1;
+    } else if (cmd == "diff") {
+        args.value("--threshold",
+                   [&](std::string_view v) {
+                       return parseThreshold(std::string{v}, opts.defaultThreshold);
+                   })
+            .value("--metric", [&](std::string_view spec) {
                 const auto eq = spec.find('=');
                 MetricThreshold t;
                 t.match = spec.substr(0, eq);
-                if (eq == std::string::npos) {
+                if (eq == std::string_view::npos) {
                     bareMetrics.push_back(opts.perMetric.size());
-                } else if (!parseThreshold(spec.c_str() + eq + 1, t.threshold)) {
-                    return usage();
+                } else if (!parseThreshold(std::string{spec.substr(eq + 1)}, t.threshold)) {
+                    return false;
                 }
                 opts.perMetric.push_back(std::move(t));
-            } else if (argv[i][0] == '-') {
-                return usage();
-            } else if (basePath.empty()) {
-                basePath = argv[i];
-            } else if (curPath.empty()) {
-                curPath = argv[i];
-            } else {
-                return usage();
-            }
-        }
-        if (curPath.empty()) return usage();
-        for (const std::size_t idx : bareMetrics) {
-            opts.perMetric[idx].threshold = opts.defaultThreshold;
-        }
-        return runDiff(basePath, curPath, opts);
+                return true;
+            });
+        wantPaths = 2;
+    }
+    // Without a known command everything after "stats" goes through the
+    // parser, so --help still answers; any other argument is a usage error.
+    if (const auto exit = args.parse(argc, argv, wantPaths > 0 ? 2 : 1)) return *exit;
+    if (wantPaths == 0) return args.usageError(cmd.empty() ? "" : "unknown command " + cmd);
+    if (paths.size() != wantPaths) return args.usageError();
+    for (const std::size_t idx : bareMetrics) {
+        opts.perMetric[idx].threshold = opts.defaultThreshold;
     }
 
-    return usage();
+    try {
+        if (cmd == "timeline") {
+            std::cout << renderTimeline(readMetricsTimeline(paths[0]), filter, maxChannels);
+            return 0;
+        }
+        if (cmd == "percentiles") {
+            printPercentiles(paths[0]);
+            return 0;
+        }
+        const StatsDiffReport report = diffFiles(paths[0], paths[1], opts);
+        std::cout << formatStatsDiffReport(report, paths[0], paths[1]);
+        if (!report.comparable) return 2;
+        return report.violations.empty() ? 0 : 1;
+    } catch (const std::exception& e) {
+        return args.fail(e.what());
+    }
 }
 
 }  // namespace g5r::obs

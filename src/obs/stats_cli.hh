@@ -1,4 +1,4 @@
-// g5r-stats — render metrics timelines and gate perf regressions.
+// `g5r stats` — render metrics timelines and gate perf regressions.
 //
 // Three subcommands, all exposed here as library functions so tests can
 // drive them without spawning processes:
@@ -24,7 +24,7 @@
 //     gate). So is a metric present only in the current point ("unexpected
 //     metric"): a port that goes from no traffic to some must not pass
 //     either. Excluded metrics and config keys are exempt both ways.
-//   * Exit status mirrors g5r-diff: 0 = within thresholds, 1 = violations,
+//   * Exit status mirrors `g5r diff`: 0 = within thresholds, 1 = violations,
 //     2 = usage / unreadable input.
 #pragma once
 
@@ -96,8 +96,8 @@ std::string renderTimeline(const MetricsTimeline& timeline,
 /// point becomes a row (count, min, mean, p50, p99, max).
 std::string renderBenchPercentiles(const exp::Json& doc);
 
-/// Full CLI entry point (argv-style, argv[0] ignored). Writes to stdout /
-/// stderr; returns the process exit status (0/1/2).
+/// `g5r stats` (argv-style, argv[0] ignored). Writes to stdout / stderr;
+/// returns the process exit status (0/1/2).
 int statsCliMain(int argc, const char* const* argv);
 
 }  // namespace g5r::obs

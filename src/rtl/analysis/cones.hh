@@ -5,7 +5,7 @@
 // nodes with *identical* cones — same operators, widths, and wiring over the
 // same source nets — compute the same value every cycle, so one of them is
 // redundant: a compiled backend evaluates the class once and fans the result
-// out, and g5r-lint reports the duplication as a design smell.
+// out, and `g5r lint` reports the duplication as a design smell.
 //
 // Canonicalization: cones are hashed bottom-up in level order (FNV-1a-64
 // over op, width, and operand hashes). Sources hash by identity (node

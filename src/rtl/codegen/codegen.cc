@@ -178,7 +178,7 @@ std::string emitCompiledModel(const Netlist& netlist, const CodegenOptions& opts
         opts.deviceLatency > 0 ? opts.deviceLatency : std::max(1u, sched.depth());
 
     std::ostringstream os;
-    os << "// Generated by g5r-netlistc from " << opts.sourceLabel << ".\n"
+    os << "// Generated by g5r netlistc from " << opts.sourceLabel << ".\n"
        << "// Compiled netlist model \"" << opts.modelName << "\": "
        << numNodes << " net(s), " << stats.combNodes
        << " combinational, depth " << stats.depth << ", " << stats.regs
@@ -533,7 +533,7 @@ uint64_t kernelGetOutput(void* p, uint32_t index) {
     // --- the rtl_api.h device wrapper ------------------------------------
     // Register map (the generic netlist-accelerator protocol the bitonic
     // model established; element counts above 64 would collide with the
-    // control block and are rejected by g5r-netlistc's CLI for the wrapper
+    // control block and are rejected by `g5r netlistc` for the wrapper
     // path):
     //   0x000 + 8*i : input element i (write)
     //   0x100 + 8*i : output element i (read; valid when done)

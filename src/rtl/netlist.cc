@@ -18,7 +18,7 @@ Netlist::Netlist(std::string_view source) : graph_(parseNetlistGraph(source)) {
     // Strict mode: any error-severity lint finding (syntax, undriven net,
     // multiple drivers, combinational loop) aborts elaboration. Warnings
     // (floating nets, dead cones, width truncation) are tolerated here and
-    // surfaced by the g5r-lint tool.
+    // surfaced by the `g5r lint` tool.
     const lint::Report report = lint::run(graph_);
     if (report.hasErrors()) {
         std::string what;

@@ -58,11 +58,11 @@ public:
 
     /// Propagate combinational logic from inputs/register outputs,
     /// activity-driven: only cones whose sources changed are recomputed.
-    /// The g5r-netlistc compiled backend is the full-recompute fast path.
+    /// The `g5r netlistc` compiled backend is the full-recompute fast path.
     void eval();
 
     /// The canonical level schedule this netlist evaluates with (and the
-    /// one g5r-netlistc emits code from).
+    /// one `g5r netlistc` emits code from).
     const analysis::LevelSchedule& schedule() const { return sched_; }
 
     /// Clock edge: eval(), then latch every reg.
@@ -149,14 +149,14 @@ std::string bitonicSorterNetlist(unsigned n, unsigned width = 64);
 unsigned bitonicStages(unsigned n);
 
 /// Element count of a "bitonic[:N]" builtin-design spec (N defaults to 8),
-/// the argument of g5r-lint's and g5r-netlistc's --builtin. N must be all
+/// the argument of `g5r lint` and `g5r netlistc` --builtin. N must be all
 /// digits and fit in unsigned; otherwise, or for a design other than
 /// bitonic, throws NetlistError naming the spec.
 unsigned parseBitonicSpec(std::string_view spec);
 
 /// A bitonic model config string: comma-separated "n=<N>" (a power of two
 /// in [2, 64], default 16) and "eval=dirty|compiled" (default dirty: the
-/// interpreter; compiled: the g5r-netlistc library). The interpreted model
+/// interpreter; compiled: the `g5r netlistc` library). The interpreted model
 /// and the model loader both read it through parseBitonicConfig().
 struct BitonicConfig {
     unsigned n = 16;

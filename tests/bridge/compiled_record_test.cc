@@ -1,7 +1,7 @@
 // Evaluator identity at the bridge level: the same bitonic sort driven
 // through the dlopen'd dirty-bit interpreter model and through the
-// g5r-netlistc compiled library (eval=compiled) must produce byte-identical
-// flight recordings (the recorder is the witness — g5r-diff exit 0 ==
+// `g5r netlistc` compiled library (eval=compiled) must produce byte-identical
+// flight recordings (the recorder is the witness — `g5r diff` exit 0 ==
 // DivergenceReport{!diverged}) and equal sorted outputs read back over the
 // device channel.
 #include <gtest/gtest.h>
@@ -47,7 +47,7 @@ std::vector<std::uint64_t> runRecordedSort(const std::string& config,
     auto session = obs::ObsSession::create(sim, opts, "compiled_identity");
 
     RtlObjectParams params;
-    // eval=compiled resolves to the g5r-netlistc library (libbitonic_cN.so),
+    // eval=compiled resolves to the `g5r netlistc` library (libbitonic_cN.so),
     // everything else to the interpreted model.
     auto rtl = std::make_unique<RtlObject>(sim, "bitonic_obj", params,
                                            loadRtlModel("bitonic", config), nullptr);
@@ -90,7 +90,7 @@ std::vector<std::uint64_t> runRecordedSort(const std::string& config,
     return sorted;
 }
 
-// The native .so emitted by g5r-netlistc, loaded over the same dlopen ABI,
+// The native .so emitted by `g5r netlistc`, loaded over the same dlopen ABI,
 // must be recording-identical to the dirty-bit interpreter on both lanes —
 // the acceptance witness that codegen preserves per-tick device behaviour,
 // not just final values.
@@ -117,7 +117,7 @@ TEST_P(CompiledRecord, CompiledModelIsRecordingIdenticalToBothInterpreters) {
     EXPECT_EQ(outDirty, expected);
     EXPECT_EQ(outCompiled, outDirty);
 
-    // Recorder identity: the library face of `g5r-diff a b` returning 0.
+    // Recorder identity: the library face of `g5r diff a b` returning 0.
     const auto rep = obs::diffRecordingFiles(recDirty, recCompiled, obs::DiffLane::kBoth);
     EXPECT_TRUE(rep.comparable) << rep.error;
     EXPECT_FALSE(rep.diverged) << rep.lane << " @ interval " << rep.intervalIndex

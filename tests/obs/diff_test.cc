@@ -8,8 +8,10 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "common/record_harness.hh"
+#include "exp/json.hh"
 #include "obs/diff.hh"
 
 namespace g5r::obs {
@@ -234,6 +236,41 @@ TEST(DiffFinder, FlakyForwarderDivergenceIsLocalizedToTheForwarder) {
     EXPECT_NE(formatted.find("system.flaky"), std::string::npos);
     std::remove(pathA.c_str());
     std::remove(pathB.c_str());
+}
+
+int runDiffCli(std::vector<const char*> argv) {
+    argv.insert(argv.begin(), "diff");
+    return diffCliMain(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(DiffCli, ExitCodesFollowTheReport) {
+    const unsigned cumsA[8] = {10, 11, 12, 13, 14, 15, 16, 17};
+    const unsigned cumsB[8] = {10, 11, 12, 13, 14, 95, 96, 97};
+    const std::string a = tempPath("cli_a.g5rec");
+    const std::string same = tempPath("cli_same.g5rec");
+    const std::string other = tempPath("cli_other.g5rec");
+    const std::string wide = tempPath("cli_wide.g5rec");
+    writeFile(a, eightIntervals("a", cumsA));
+    writeFile(same, eightIntervals("a", cumsA));
+    writeFile(other, eightIntervals("b", cumsB));
+    std::string textWide = eightIntervals("w", cumsA);
+    textWide.replace(textWide.find("interval 1000"), 13, "interval 2000");
+    writeFile(wide, textWide);
+
+    EXPECT_EQ(runDiffCli({a.c_str(), same.c_str()}), 0);
+    EXPECT_EQ(runDiffCli({a.c_str(), other.c_str()}), 1);
+    EXPECT_EQ(runDiffCli({a.c_str(), "/no/such.g5rec"}), 2);
+    EXPECT_EQ(runDiffCli({a.c_str()}), 2);
+    EXPECT_EQ(runDiffCli({"--bogus", a.c_str(), same.c_str()}), 2);
+
+    // --json keeps even an incomparable pair's report on stdout (exit 2).
+    ::testing::internal::CaptureStdout();
+    EXPECT_EQ(runDiffCli({"--json", a.c_str(), wide.c_str()}), 2);
+    const exp::Json doc = exp::Json::parse(::testing::internal::GetCapturedStdout());
+    EXPECT_FALSE(doc.at("comparable").asBool());
+    EXPECT_NE(doc.at("error").asString().find("GEM5RTL_RECORD_INTERVAL"), std::string::npos);
+
+    for (const std::string& path : {a, same, other, wide}) std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Flight recorder: sidecar round trip through Recording::load, byte-identical
-// recordings at any --jobs count (the determinism contract g5r-diff rests
+// recordings at any --jobs count (the determinism contract `g5r diff` rests
 // on; TSan covers the data-race side), black-box ring behavior, and the
 // panic-time black-box dump.
 #include <gtest/gtest.h>

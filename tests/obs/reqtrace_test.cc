@@ -1,7 +1,7 @@
 // Request-level causal tracing: sidecar format round-trip, the
 // sums-to-100% blame invariant, overlap precedence, in-memory mode,
 // computeBlame against a per-tick oracle on random span forests, the
-// g5r-critpath CLI, and the ObsOptions environment overlay (including the
+// `g5r critpath` CLI, and the ObsOptions environment overlay (including the
 // combined multi-variable precedence case).
 #include <gtest/gtest.h>
 
@@ -407,35 +407,46 @@ TEST(ReqTrace, CritpathCliExitCodes) {
         session.finish(10'000);
     }
     {
-        const char* argv[] = {"g5r-critpath", "--assert-sum", path.c_str()};
+        const char* argv[] = {"critpath", "--assert-sum", path.c_str()};
         EXPECT_EQ(critpathCliMain(3, argv), 0);
     }
     {
-        const char* argv[] = {"g5r-critpath", "--json", path.c_str()};
+        const char* argv[] = {"critpath", "--json", path.c_str()};
         EXPECT_EQ(critpathCliMain(3, argv), 0);
     }
     {
-        const char* argv[] = {"g5r-critpath", "/no/such/file.reqtrace.jsonl"};
+        const char* argv[] = {"critpath", "/no/such/file.reqtrace.jsonl"};
         EXPECT_EQ(critpathCliMain(2, argv), 2);
     }
     {
-        const char* argv[] = {"g5r-critpath"};
+        const char* argv[] = {"critpath"};
         EXPECT_EQ(critpathCliMain(1, argv), 2);  // Usage.
     }
     {
-        const char* argv[] = {"g5r-critpath", "--bogus", path.c_str()};
+        const char* argv[] = {"critpath", "--bogus", path.c_str()};
         EXPECT_EQ(critpathCliMain(3, argv), 2);
     }
     {
-        const char* argv[] = {"g5r-critpath", "--waterfall=1", path.c_str()};
+        const char* argv[] = {"critpath", "--waterfall=1", path.c_str()};
         EXPECT_EQ(critpathCliMain(3, argv), 0);
     }
     // A malformed count is a usage error, not 0 ("all roots").
     for (const char* bad : {"--waterfall=abc", "--waterfall=3x", "--waterfall=", "--waterfall=-1"}) {
-        const char* argv[] = {"g5r-critpath", bad, path.c_str()};
+        const char* argv[] = {"critpath", bad, path.c_str()};
         EXPECT_EQ(critpathCliMain(3, argv), 2) << bad;
     }
     std::remove(path.c_str());
+}
+
+// --help goes to stdout with exit 0. The text is streamed, not printf'd, so
+// "100%" must not come out as a doubled "100%%".
+TEST(ReqTrace, CritpathHelpTextIsLiteral) {
+    const char* argv[] = {"critpath", "--help"};
+    ::testing::internal::CaptureStdout();
+    EXPECT_EQ(critpathCliMain(2, argv), 0);
+    const std::string help = ::testing::internal::GetCapturedStdout();
+    EXPECT_NE(help.find("100% of every"), std::string::npos) << help;
+    EXPECT_EQ(help.find("%%"), std::string::npos) << help;
 }
 
 TEST(ReqTrace, OptionsComeFromEnvironment) {

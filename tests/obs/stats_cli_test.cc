@@ -1,4 +1,4 @@
-// g5r-stats: diff semantics (the CI perf-regression gate), threshold
+// `g5r stats`: diff semantics (the CI perf-regression gate), threshold
 // resolution, structural-loss violations, CLI exit codes, and render smoke.
 #include <gtest/gtest.h>
 
@@ -220,7 +220,7 @@ TEST(StatsDiff, TimelinesCompareByFinalValue) {
 }
 
 int runCli(std::vector<const char*> argv) {
-    argv.insert(argv.begin(), "g5r-stats");
+    argv.insert(argv.begin(), "stats");
     return statsCliMain(static_cast<int>(argv.size()), argv.data());
 }
 

@@ -1,6 +1,6 @@
 // Compiled netlist backend conformance: every NetOp, across the interesting
 // widths, must evaluate identically under the dirty-bit interpreter and the
-// g5r-netlistc generated native code — loaded through the raw-kernel face of
+// `g5r netlistc` generated native code — loaded through the raw-kernel face of
 // the emitted library, i.e. the same dlopen path the simulator uses.
 //
 // These tests invoke the host C++ compiler at runtime (once per width), so

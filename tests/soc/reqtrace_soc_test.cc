@@ -205,7 +205,7 @@ TEST(ReqTraceSoc, RecordingsUnchangedByTracing) {
 
 TEST(ReqTraceSoc, MetricsTimelineCarriesDmaAndSpmChannels) {
     // PR 9's DMA latency histogram and SPM counters must surface in the
-    // metrics timeline (and therefore in g5r-stats) without bespoke wiring.
+    // metrics timeline (and therefore in `g5r stats`) without bespoke wiring.
     auto cfg = baseConfig(MemPath::kDmaSpm, 16);
     cfg.obs.metricsEnabled = true;
     cfg.obs.metricsPath = ::testing::TempDir() + "/rt_dma.metrics.jsonl";
