@@ -16,7 +16,8 @@
 //
 // Every row is timed rep by rep, interleaved with the others, and judged by
 // its best rep, so a burst of host noise lands on one rep of every row
-// rather than on all reps of one row. Both sides of each ratio take their
+// rather than on all reps of one row. A standalone rep repeats the short
+// bare-model run for at least 100 ms and reports the time per run. Both sides of each ratio take their
 // traces from the process-wide cache (models::sharedConvTrace) inside the
 // timed region: only the first request for each trace pays its build, and
 // the best rep leaves that one-off out of every row.
@@ -53,8 +54,14 @@ void timeRep(Row& row, const std::function<void()>& fn) {
     row.wallSeconds = std::min(row.wallSeconds, wallSeconds(fn));
 }
 
+/// Shortest host time one standalone rep spans. A single Sanity3 run takes
+/// about 10 ms, so a millisecond of host noise in its best rep moved the
+/// ratios it normalises by ~10%; a rep plays the model back to back until
+/// this much time has passed and counts the time per run.
+constexpr double kMinStandaloneRepSeconds = 0.1;
+
 void standaloneRep(const models::NvdlaShape& shape, Row& row) {
-    timeRep(row, [&] {
+    const auto playOnce = [&] {
         const auto model = loadRtlModel("nvdla");
         const auto trace =
             models::sharedConvTrace("t", shape, models::NvdlaPlacement{}, 0xACE);
@@ -63,7 +70,16 @@ void standaloneRep(const models::NvdlaShape& shape, Row& row) {
         if (!result.completed || result.checksum != trace->expectedChecksum) {
             std::printf("WARN: standalone run failed verification\n");
         }
-    });
+    };
+    const auto start = std::chrono::steady_clock::now();
+    int runs = 0;
+    double seconds = 0;
+    do {
+        playOnce();
+        ++runs;
+        seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    } while (seconds < kMinStandaloneRepSeconds);
+    row.wallSeconds = std::min(row.wallSeconds, seconds / runs);
 }
 
 void socRep(const models::NvdlaShape& shape, MemTech tech, bool gate, Row& row) {

@@ -12,6 +12,21 @@
 //   * sendFunctional(pkt): synchronous, zero-time access used for loading
 //     program images and debug inspection; always succeeds.
 //
+// Response-retry contract: on recvRespRetry() a responder's first act is to
+// resend the response that was refused; if that resend is refused, the
+// callback returns with no other effect. Every responder keeps it by
+// resending the head of a ready-ordered queue and inserting new responses
+// behind it: SimpleMemory, MultiChannelDram, Cache and Spm (a new entry is
+// ready no earlier than now, and the refused head was ready by then),
+// Xbar's upstream ports (the layer's parked packet) and RtlObject's device
+// ports (outside a send, every unblocked port's queue is empty, so the
+// walk over all ports reaches the woken one first). The crossbar relies on
+// it: once the first waiter it wakes re-occupies a released response
+// layer, it re-queues the rest uncalled, since each would only be refused.
+// Requests have no such contract. A requester may take recvReqRetry() as
+// a note and resend later (OooCore clears a blocked flag), so a skipped
+// wake would strand it, and the crossbar wakes every request-layer waiter.
+//
 // Ports are plain members of SimObjects; the virtual recv* hooks are
 // implemented by small port subclasses that forward into their owner.
 #pragma once

@@ -108,17 +108,21 @@ void Xbar::acceptIntoLayer(Layer& layer, PacketPtr& pkt, unsigned srcIdx,
     eventQueue().schedule(deliverEvent, clockEdge(params_.forwardLatency));
 }
 
+void Xbar::refuse(Layer& layer, unsigned srcIdx) {
+    ++layerConflicts_;
+    if (std::find(layer.retryList.begin(), layer.retryList.end(), srcIdx) ==
+        layer.retryList.end()) {
+        layer.retryList.push_back(srcIdx);
+    }
+}
+
 // ----------------------------------------------------------- request path --
 
 bool Xbar::handleReq(unsigned srcUp, PacketPtr& pkt) {
     const unsigned dst = route(pkt->addr());
     Layer& layer = reqLayers_[dst];
     if (layer.busy) {
-        ++layerConflicts_;
-        if (std::find(layer.retryList.begin(), layer.retryList.end(), srcUp) ==
-            layer.retryList.end()) {
-            layer.retryList.push_back(srcUp);
-        }
+        refuse(layer, srcUp);
         return false;
     }
     ++reqsRouted_;
@@ -172,11 +176,7 @@ bool Xbar::handleResp(unsigned srcDown, PacketPtr& pkt) {
 
     Layer& layer = respLayers_[dstUp];
     if (layer.busy) {
-        ++layerConflicts_;
-        if (std::find(layer.retryList.begin(), layer.retryList.end(), srcDown) ==
-            layer.retryList.end()) {
-            layer.retryList.push_back(srcDown);
-        }
+        refuse(layer, srcDown);
         return false;
     }
     const Tick rtt = curTick() - it->second.issued;
@@ -216,7 +216,14 @@ void Xbar::finishRespLayer(unsigned dstUp) {
     layer.waitingPeer = false;
     std::vector<unsigned> waiting;
     waiting.swap(layer.retryList);
-    for (const unsigned down : waiting) downPorts_[down]->sendRespRetry();
+    // Wake waiters in order only while the layer is free. Once one of them
+    // re-occupies it, each later waiter would resend into a busy layer and
+    // be refused with no other effect (the response-retry contract in
+    // port.hh), so it is re-queued and counted exactly as that refusal
+    // would have been, without the call.
+    auto next = waiting.begin();
+    for (; next != waiting.end() && !layer.busy; ++next) downPorts_[*next]->sendRespRetry();
+    for (; next != waiting.end(); ++next) refuse(layer, *next);
 }
 
 void Xbar::handleFunctional(Packet& pkt) {

@@ -5,7 +5,10 @@
 // 8-bank LLC is striped — and responses are routed back to their original
 // source port via the packet id. Each output direction is guarded by a
 // "layer" that models the switch occupancy: header latency plus one cycle
-// per 128-bit beat, with gem5-style retry lists when a layer is busy.
+// per 128-bit beat, with gem5-style retry lists when a layer is busy. A
+// released request layer wakes all its waiters; a released response layer
+// wakes them in order only until one re-occupies it (port.hh's
+// response-retry contract).
 //
 // Coherence note: the evaluated workloads are share-nothing (see DESIGN.md),
 // so the crossbar routes without snooping; write-back caches above it remain
@@ -104,6 +107,10 @@ private:
     void finishRespLayer(unsigned dstUp);
 
     void handleFunctional(Packet& pkt);
+
+    /// Count a send refused because @p layer is busy, and queue its sender
+    /// for the layer's retry (once).
+    void refuse(Layer& layer, unsigned srcIdx);
 
     /// Occupy @p layer with @p pkt and schedule its delivery.
     void acceptIntoLayer(Layer& layer, PacketPtr& pkt, unsigned srcIdx,

@@ -16,7 +16,6 @@
 // combinational network if it were registered), so timing scales with
 // log^2(N) like the real design would.
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -44,9 +43,8 @@ public:
         readPending_ = false;
     }
 
+    /// @p out arrives zero-filled (the caller's side of the rtl_api.h ABI).
     void tick(const G5rRtlInput& in, G5rRtlOutput& out) {
-        std::memset(&out, 0, sizeof(out));
-
         if (readPending_) {
             out.dev_resp_valid = 1;
             out.dev_rdata = readReg(readAddr_);

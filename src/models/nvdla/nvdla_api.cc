@@ -2,7 +2,6 @@
 // the NVIDIA-provided nvdla.cpp Verilator wrapper the paper adapts. The
 // CSB/AXI interface classes map onto the generic dev/memory channels of the
 // bridge ABI.
-#include <cstring>
 #include <memory>
 
 #include "bridge/rtl_api.h"
@@ -20,8 +19,8 @@ public:
         readPending_ = false;
     }
 
+    /// @p out arrives zero-filled (the caller's side of the rtl_api.h ABI).
     void tick(const G5rRtlInput& in, G5rRtlOutput& out) {
-        std::memset(&out, 0, sizeof(out));
         if (design_ == nullptr) reset();
 
         if (readPending_) {

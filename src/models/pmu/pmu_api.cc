@@ -12,7 +12,6 @@
 // paper: "we have also connected the clock as a PMU event"), so thresholds
 // on that line produce periodic interrupts.
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 
@@ -42,9 +41,8 @@ public:
         cycle_ = 0;
     }
 
+    /// @p out arrives zero-filled (the caller's side of the rtl_api.h ABI).
     void tick(const G5rRtlInput& in, G5rRtlOutput& out) {
-        std::memset(&out, 0, sizeof(out));
-
         // Frame the device beat as AXI-Lite channel activity.
         axi::AxiLiteSlave::Inputs bus;
         if (in.dev_valid != 0) {

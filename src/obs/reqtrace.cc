@@ -1,6 +1,8 @@
 #include "obs/reqtrace.hh"
 
 #include <algorithm>
+#include <deque>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -9,8 +11,41 @@
 
 namespace g5r::obs {
 
-ReqTraceSession::ReqTraceSession(std::string path, std::string runLabel)
-    : path_(std::move(path)), runLabel_(std::move(runLabel)) {
+void StageUnions::add(ReqStage stage, Tick begin, Tick end) {
+    lastEnd = std::max(lastEnd, end);
+    if (end <= begin) return;
+    auto& set = stages[static_cast<unsigned>(stage)];
+    if (set.empty() || end >= set.back().second) {
+        // Ends at or past the tail: absorb the tail intervals the span
+        // overlaps or touches, then append.
+        while (!set.empty() && set.back().second >= begin) {
+            begin = std::min(begin, set.back().first);
+            set.pop_back();
+        }
+        set.emplace_back(begin, end);
+        return;
+    }
+    // Elsewhere: [first, last) are the intervals the span overlaps or
+    // touches; merge them into one, or insert the span if there are none.
+    const auto first = std::lower_bound(
+        set.begin(), set.end(), begin,
+        [](const std::pair<Tick, Tick>& iv, Tick t) { return iv.second < t; });
+    const auto last = std::upper_bound(
+        first, set.end(), end,
+        [](Tick t, const std::pair<Tick, Tick>& iv) { return t < iv.first; });
+    if (first == last) {
+        set.insert(first, {begin, end});
+        return;
+    }
+    first->first = std::min(first->first, begin);
+    first->second = std::max(std::prev(last)->second, end);
+    set.erase(std::next(first), last);
+}
+
+ReqTraceSession::ReqTraceSession(std::string path, std::string runLabel, bool keepSpans)
+    : path_(std::move(path)),
+      runLabel_(std::move(runLabel)),
+      keepSpans_(keepSpans || !path_.empty()) {
     // File-mode writability is only probed at finish(); until then the
     // session is a pure in-memory collector either way.
     ok_ = true;
@@ -23,6 +58,7 @@ std::size_t ReqTraceSession::slotFor(ReqId id) {
     if (index_[id] == 0) {
         records_.emplace_back();
         records_.back().id = id;
+        records_.back().folded = true;
         index_[id] = records_.size();
     }
     return index_[id] - 1;
@@ -45,7 +81,9 @@ void ReqTraceSession::onEnd(ReqId id, Tick when) {
 
 void ReqTraceSession::onSpan(ReqId id, ReqStage stage, Tick begin, Tick end) {
     if (id == 0 || end <= begin) return;
-    records_[slotFor(id)].spans.push_back(ReqSpan{stage, begin, end});
+    ReqRecord& rec = records_[slotFor(id)];
+    if (keepSpans_) rec.spans.push_back(ReqSpan{stage, begin, end});
+    rec.unions.add(stage, begin, end);
 }
 
 void ReqTraceSession::finish(Tick finalTick) {
@@ -194,6 +232,20 @@ BlameSummary computeBlame(const std::vector<ReqRecord>& records) {
     BlameSummary summary;
     const ReqTree tree = buildReqTree(records);
 
+    // Every record's folded unions: its own, or its raw spans folded here.
+    std::deque<StageUnions> refolded;  // Stable addresses for unionsOf.
+    std::vector<const StageUnions*> unionsOf(records.size());
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        const ReqRecord& rec = records[i];
+        if (rec.folded) {
+            unionsOf[i] = &rec.unions;
+            continue;
+        }
+        StageUnions& folded = refolded.emplace_back();
+        for (const ReqSpan& span : rec.spans) folded.add(span.stage, span.begin, span.end);
+        unionsOf[i] = &folded;
+    }
+
     std::array<unsigned, kNumReqStages> byRank{};
     for (unsigned s = 0; s < kNumReqStages; ++s) byRank[s] = s;
     std::sort(byRank.begin(), byRank.end(),
@@ -206,8 +258,6 @@ BlameSummary computeBlame(const std::vector<ReqRecord>& records) {
     Intervals scratch;
     Intervals covered;
     std::vector<std::size_t> scratchStarts;
-    std::vector<ReqSpan> sorted;
-    const auto byBegin = [](const ReqSpan& a, const ReqSpan& b) { return a.begin < b.begin; };
 
     for (const std::size_t rootIdx : tree.roots) {
         const ReqRecord& root = records[rootIdx];
@@ -224,36 +274,25 @@ BlameSummary computeBlame(const std::vector<ReqRecord>& records) {
         for (const std::size_t idx : subtree) {
             const ReqRecord& rec = records[idx];
             if (rec.ended && rec.endTick > effectiveEnd) effectiveEnd = rec.endTick;
-            for (const ReqSpan& span : rec.spans) {
-                if (span.end > effectiveEnd) effectiveEnd = span.end;
-            }
+            effectiveEnd = std::max(effectiveEnd, unionsOf[idx]->lastEnd);
         }
         blame.end = effectiveEnd;
 
-        // Each record's spans, clipped to [begin, effectiveEnd], become one
-        // interval set per stage in a single begin-ordered pass.
+        // Each record's per-stage unions, clipped to [begin, effectiveEnd]
+        // (clipping keeps a union disjoint and begin-ordered).
         for (unsigned s = 0; s < kNumReqStages; ++s) {
             unions[s].clear();
             starts[s].clear();
         }
         for (const std::size_t idx : subtree) {
-            const std::vector<ReqSpan>* spans = &records[idx].spans;
-            if (!std::is_sorted(spans->begin(), spans->end(), byBegin)) {
-                sorted = *spans;
-                std::sort(sorted.begin(), sorted.end(), byBegin);
-                spans = &sorted;
-            }
-            std::array<std::size_t, kNumReqStages> from{};
-            for (unsigned s = 0; s < kNumReqStages; ++s) from[s] = unions[s].size();
-            for (const ReqSpan& span : *spans) {
-                const Tick b = std::max(span.begin, blame.begin);
-                const Tick e = std::min(span.end, effectiveEnd);
-                if (e <= b) continue;
-                const auto s = static_cast<unsigned>(span.stage);
-                extend(unions[s], from[s], b, e);
-            }
             for (unsigned s = 0; s < kNumReqStages; ++s) {
-                if (unions[s].size() > from[s]) starts[s].push_back(from[s]);
+                const std::size_t from = unions[s].size();
+                for (const auto& [spanBegin, spanEnd] : unionsOf[idx]->stages[s]) {
+                    const Tick b = std::max(spanBegin, blame.begin);
+                    const Tick e = std::min(spanEnd, effectiveEnd);
+                    if (e > b) unions[s].emplace_back(b, e);
+                }
+                if (unions[s].size() > from) starts[s].push_back(from);
             }
         }
 

@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/observer.hh"
@@ -53,6 +54,19 @@ struct ReqSpan {
     Tick end;
 };
 
+/// A record's spans folded per stage, as they arrive: for each stage the
+/// union of its spans as disjoint, begin-ordered [first, second) tick
+/// intervals, plus the largest span end. This is all computeBlame reads.
+struct StageUnions {
+    std::array<std::vector<std::pair<Tick, Tick>>, kNumReqStages> stages;
+    Tick lastEnd = 0;
+
+    /// Fold one span in. A span that ends where or before it begins only
+    /// moves lastEnd. Appending or merging at the tail is the fast path:
+    /// spans arrive mostly in end order.
+    void add(ReqStage stage, Tick begin, Tick end);
+};
+
 /// One request's collected lifecycle.
 struct ReqRecord {
     ReqId id = 0;
@@ -61,7 +75,14 @@ struct ReqRecord {
     Tick beginTick = 0;
     Tick endTick = 0;          ///< 0 until requestEnd (see header comment).
     bool ended = false;
+    /// The raw spans. A session keeps them only when something reads them
+    /// (the sidecar, the Perfetto trace); sidecar reads and hand-built
+    /// records carry nothing else.
     std::vector<ReqSpan> spans;
+    /// Set by ReqTraceSession, which folds every span into `unions` as it
+    /// arrives. computeBlame folds the raw spans of any other record itself.
+    bool folded = false;
+    StageUnions unions;
 };
 
 class ReqTraceSession {
@@ -73,7 +94,10 @@ public:
     /// in-memory mode: records are kept (data()) but no file is written —
     /// the DSE harness uses this to compute stage blame without sidecars.
     /// An unopenable path degrades to ok()==false; records are still kept.
-    ReqTraceSession(std::string path, std::string runLabel);
+    /// In-memory mode with @p keepSpans false stores no raw span list,
+    /// only each record's folded unions (enough for computeBlame); file
+    /// mode always keeps the spans it writes.
+    ReqTraceSession(std::string path, std::string runLabel, bool keepSpans = true);
     ~ReqTraceSession();
     ReqTraceSession(const ReqTraceSession&) = delete;
     ReqTraceSession& operator=(const ReqTraceSession&) = delete;
@@ -100,6 +124,7 @@ private:
 
     std::string path_;
     std::string runLabel_;
+    bool keepSpans_;
     bool ok_ = false;
     bool finished_ = false;
     std::vector<ReqRecord> records_;
@@ -161,6 +186,8 @@ struct BlameSummary {
 /// buildReqTree root in the same order. Invariant: for each root,
 /// sum(stageTicks) + unattributed == total(); the aggregate inherits it.
 /// Records need not be canonical (finish()-sorted); the result is the same.
+/// Folded records are read through their unions alone; any other record's
+/// raw spans are folded first, by StageUnions::add.
 BlameSummary computeBlame(const std::vector<ReqRecord>& records);
 
 // ---------------------------------------------------------------- reading --

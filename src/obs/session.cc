@@ -122,7 +122,11 @@ ObsSession::ObsSession(Simulation& sim, const ObsOptions& opts, std::string_view
         } else {
             path = joinDir(opts.reqtraceDir, base + ".reqtrace.jsonl");
         }
-        reqtrace_ = std::make_unique<ReqTraceSession>(std::move(path), std::string{runName});
+        // Raw spans are kept only for a reader: the sidecar (always kept in
+        // file mode) or the Perfetto trace's reqstage events. Stage blame
+        // alone needs just the per-record unions folded as spans arrive.
+        reqtrace_ = std::make_unique<ReqTraceSession>(std::move(path), std::string{runName},
+                                                      /*keepSpans=*/opts.traceEnabled);
     }
 
     // Slot 0 catches events whose name matches no registered object;
@@ -185,8 +189,7 @@ void ObsSession::emitRequestSpans() {
                              : rec.id;
     }
     for (const ReqRecord& rec : records) {
-        Tick end = rec.ended ? rec.endTick : rec.beginTick;
-        for (const ReqSpan& span : rec.spans) end = std::max(end, span.end);
+        const Tick end = std::max(rec.ended ? rec.endTick : rec.beginTick, rec.unions.lastEnd);
         const double beginUs = static_cast<double>(rec.beginTick) / kTicksPerUs;
         trace_->completeEvent(kSummaryTid, rec.kind + "#" + std::to_string(rec.id),
                               "request", beginUs,

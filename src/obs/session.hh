@@ -113,8 +113,8 @@ public:
     /// a session whose only sink is the request trace (the DSE harness's
     /// always-on stage blame) leaves the event queue unobserved. The trace
     /// still costs its request hooks and computeBlame: perfbench's
-    /// reqtrace_cost_pct has measured up to about 25% of fig7_dse and
-    /// table3_nvdla job time (EXPERIMENTS.md).
+    /// reqtrace_cost_pct reads 7-8% of fig7_dse and table3_nvdla job time
+    /// (EXPERIMENTS.md).
     bool observesDispatches() const override {
         return trace_ != nullptr || profiler_ != nullptr || recorder_ != nullptr ||
                metrics_ != nullptr;

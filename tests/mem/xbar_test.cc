@@ -1,10 +1,18 @@
 // Crossbar: routing (plain and interleaved), response return paths, layer
-// contention/retries, latency, and functional access.
+// contention/retries, the response-layer wake order, latency, and
+// functional access.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <utility>
+#include <vector>
+
 #include "common/test_requester.hh"
+#include "mem/dram.hh"
+#include "mem/dram_configs.hh"
 #include "mem/simple_mem.hh"
 #include "mem/xbar.hh"
+#include "sim/packet_id.hh"
 
 namespace g5r {
 namespace {
@@ -145,6 +153,101 @@ TEST(Xbar, HeavyBidirectionalStress) {
     h.sim.run();
     EXPECT_TRUE(h.reqA->allResponsesReceived());
     EXPECT_TRUE(h.reqB->allResponsesReceived());
+}
+
+/// Expected outcome of Xbar.ResponseWakeOrderIsPinned, generated with the
+/// crossbar that woke every response-layer waiter on each layer release.
+/// Any change to the wake order moves the delivery order, the conflict
+/// count or the latency histogram.
+constexpr std::pair<Tick, std::uint64_t> kPinnedDeliveries[] = {
+    {2'500, 1}, {4'500, 2}, {6'500, 10}, {8'500, 18}, {10'500, 26},
+    {12'500, 3}, {14'500, 11}, {16'500, 19}, {18'500, 27}, {20'500, 5},
+    {22'500, 13}, {24'500, 21}, {26'500, 29}, {28'500, 6}, {30'500, 14},
+    {32'500, 22}, {34'500, 30}, {36'500, 7}, {38'500, 15}, {40'500, 23},
+    {42'500, 31}, {44'500, 9}, {46'500, 17}, {48'500, 25}, {54'000, 4},
+    {57'500, 8}, {61'000, 12}, {64'000, 16}, {67'500, 20}, {71'000, 24},
+    {73'000, 33}, {75'000, 34}, {77'000, 42}, {79'000, 50}, {81'000, 58},
+    {83'000, 35}, {85'000, 43}, {87'000, 51}, {89'000, 59}, {91'000, 37},
+    {93'000, 45}, {95'000, 53}, {97'000, 61}, {99'000, 38}, {101'000, 46},
+    {103'000, 54}, {105'000, 62}, {107'000, 39}, {109'000, 47}, {111'000, 55},
+    {113'000, 63}, {115'000, 41}, {117'000, 49}, {119'000, 57}, {121'000, 28},
+    {123'000, 32}, {125'000, 36}, {127'000, 40}, {129'000, 44}, {131'000, 48},
+    {133'000, 52}, {135'000, 56}, {137'000, 60}, {139'000, 64}, {142'500, 65},
+    {144'500, 66}, {146'500, 74}, {148'500, 82}, {150'500, 90}, {152'500, 67},
+    {154'500, 75}, {156'500, 83}, {158'500, 91}, {160'500, 69}, {162'500, 77},
+    {164'500, 85}, {166'500, 93}, {168'500, 70}, {170'500, 78}, {172'500, 86},
+    {174'500, 94}, {176'500, 71}, {178'500, 79}, {180'500, 87}, {182'500, 95},
+    {184'500, 73}, {186'500, 81}, {188'500, 89}, {190'500, 68}, {192'500, 72},
+    {194'500, 76}, {196'500, 80}, {198'500, 84}, {200'500, 88}, {202'500, 92},
+    {204'500, 96},
+};
+constexpr double kPinnedLayerConflicts = 322;
+/// (bucket low edge, count) of the requester's round-trip histogram.
+constexpr std::pair<std::uint64_t, std::uint64_t> kPinnedLatencyBuckets[] = {
+    {1'472, 2}, {1'984, 1}, {3'456, 2}, {3'968, 1}, {4'480, 6},
+    {4'992, 3}, {11'264, 2}, {11'776, 1}, {12'288, 6}, {12'800, 3},
+    {19'456, 8}, {19'968, 4}, {27'136, 8}, {27'648, 4}, {34'816, 8},
+    {35'840, 4}, {41'984, 9}, {49'152, 1}, {50'176, 1}, {51'200, 1},
+    {52'224, 2}, {53'248, 2}, {54'272, 3}, {55'296, 2}, {56'320, 2},
+    {57'344, 2}, {58'368, 1}, {59'392, 2}, {60'416, 1}, {61'440, 1},
+    {64'512, 1}, {112'640, 1}, {114'688, 1},
+};
+
+TEST(Xbar, ResponseWakeOrderIsPinned) {
+    // Eight 1-cycle banks striped on the line bits (the SoC's ideal memory)
+    // and one DDR4 channel all answer one requester, so every response
+    // contends for its single response layer.
+    Simulation sim;
+    BackingStore store;
+    Xbar xbar{sim, "membus", {}};
+    TestRequester req{sim, "req"};
+    req.port().bind(xbar.addCpuSidePort("req"));
+
+    std::vector<std::unique_ptr<SimpleMemory>> banks;
+    const AddrRange bankRange{0, 1ULL << 20};
+    for (unsigned b = 0; b < 8; ++b) {
+        SimpleMemory::Params mp;
+        mp.range = bankRange;
+        mp.latency = mp.clockPeriod;
+        mp.bytesPerTick = 0.0;
+        mp.maxPending = 4096;
+        banks.push_back(
+            std::make_unique<SimpleMemory>(sim, "mem" + std::to_string(b), mp, store));
+        xbar.addMemSidePort("mem" + std::to_string(b), RouteSpec{bankRange, 6, 3, b})
+            .bind(banks.back()->port());
+    }
+    const AddrRange dramRange{1ULL << 20, 2ULL << 20};
+    MultiChannelDram dram{sim, "dram", dramParamsFor(MemTech::kDdr4_1ch, dramRange), store};
+    xbar.addMemSidePort("dram", RouteSpec{dramRange}).bind(dram.port());
+
+    // 96 line reads, every fourth one to DRAM, issued in bursts so that
+    // dozens are in flight at once. Packet IDs start at 1 for this test.
+    std::uint64_t ids = 0;
+    {
+        const PacketIdScope scope{ids};
+        for (int i = 0; i < 96; ++i) {
+            const Addr addr = (i % 4 == 3 ? dramRange.start : 0) + 64 * static_cast<Addr>(i);
+            req.issueAt(static_cast<Tick>(i / 32) * 70'000, makeReadPacket(addr, 64));
+        }
+    }
+    sim.run();
+    ASSERT_EQ(req.numResponses(), 96u);
+
+    using Deliveries = std::vector<std::pair<Tick, std::uint64_t>>;
+    Deliveries delivered;
+    for (const auto& r : req.responses()) delivered.emplace_back(r.tick, r.pkt->id());
+    EXPECT_EQ(delivered, Deliveries(std::begin(kPinnedDeliveries), std::end(kPinnedDeliveries)));
+    EXPECT_EQ(sim.findStat("membus.layerConflicts")->value(), kPinnedLayerConflicts);
+
+    const auto* hist =
+        dynamic_cast<const stats::Histogram*>(sim.findStat("membus.latencyHist.req"));
+    ASSERT_NE(hist, nullptr);
+    using Buckets = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+    Buckets buckets;
+    hist->data().forEachBucket([&buckets](std::uint64_t low, std::uint64_t, std::uint64_t n) {
+        buckets.emplace_back(low, n);
+    });
+    EXPECT_EQ(buckets, Buckets(std::begin(kPinnedLatencyBuckets), std::end(kPinnedLatencyBuckets)));
 }
 
 }  // namespace

@@ -51,7 +51,10 @@ public:
         EXPECT_EQ(out.dev_ready, 1);
         // Data arrives within the next few ticks (AXI-Lite read handshake).
         G5rRtlInput idle{};
-        for (int i = 0; i < 4 && out.dev_resp_valid == 0; ++i) model_.tick(idle, out);
+        for (int i = 0; i < 4 && out.dev_resp_valid == 0; ++i) {
+            out = G5rRtlOutput{};  // The ABI: the caller zero-fills every tick.
+            model_.tick(idle, out);
+        }
         EXPECT_EQ(out.dev_resp_valid, 1);
         return out.dev_rdata;
     }

@@ -1,7 +1,8 @@
 // Request-level causal tracing: sidecar format round-trip, the
 // sums-to-100% blame invariant, overlap precedence, in-memory mode,
-// computeBlame against a per-tick oracle on random span forests, the
-// `g5r critpath` CLI, and the ObsOptions environment overlay (including the
+// computeBlame against a per-tick oracle on random span forests, blame of
+// spans folded on arrival against blame of a sidecar read back, the trace
+// sink's raw spans and request events, the `g5r critpath` CLI, and the ObsOptions environment overlay (including the
 // combined multi-variable precedence case).
 #include <gtest/gtest.h>
 
@@ -12,17 +13,20 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "exp/json.hh"
 #include "obs/critpath_cli.hh"
 #include "obs/options.hh"
 #include "obs/reqtrace.hh"
+#include "obs/session.hh"
+#include "sim/simulation.hh"
 
 namespace g5r::obs {
 namespace {
 
-[[maybe_unused]] std::string slurp(const std::string& path) {
+std::string slurp(const std::string& path) {
     std::ifstream in{path};
     std::stringstream ss;
     ss << in.rdbuf();
@@ -337,6 +341,209 @@ TEST(ReqTrace, BlameMatchesPerTickOracleOnRandomForests) {
         }
     }
     EXPECT_GT(deepTrees, 100u);  // Three-level trees with work at the bottom.
+}
+
+/// One observer callback of a request-trace stream.
+struct TraceCall {
+    enum Kind { kBegin, kSpan, kEnd } kind;
+    ReqId id;
+    ReqId parent;
+    ReqStage stage;
+    Tick begin;
+    Tick end;
+};
+
+/// A random stream of request callbacks as a run delivers them: spans
+/// mostly in end order, with touching, nested, zero-length, out-of-order
+/// and past-the-root's-end spans mixed in, and arrival shuffled locally
+/// (or, for every fourth seed, entirely).
+std::vector<TraceCall> randomTraceStream(std::mt19937_64& rng, std::uint64_t seed) {
+    const auto uniform = [&rng](std::uint64_t lo, std::uint64_t hi) {
+        return std::uniform_int_distribution<std::uint64_t>{lo, hi}(rng);
+    };
+    std::vector<TraceCall> calls;
+    const std::size_t numRecords = uniform(2, 9);
+    for (ReqId id = 1; id <= numRecords; ++id) {
+        const ReqId parent = id == 1 ? 0 : (uniform(0, 3) == 0 ? 0 : uniform(1, id - 1));
+        const Tick begin = uniform(0, 400);
+        calls.push_back({TraceCall::kBegin, id, parent, ReqStage::kHostLoad, begin, 0});
+        Tick cursor = begin;
+        std::vector<std::pair<Tick, Tick>> made;
+        const std::size_t numSpans = uniform(0, 60);
+        for (std::size_t k = 0; k < numSpans; ++k) {
+            const auto stage = static_cast<ReqStage>(uniform(0, kNumReqStages - 1));
+            Tick b = 0;
+            Tick e = 0;
+            switch (uniform(0, 9)) {
+            case 0:  // Touching the previous span.
+                b = made.empty() ? cursor : made.back().second;
+                e = b + uniform(1, 40);
+                break;
+            case 1:  // Nested in an earlier span.
+                if (!made.empty()) {
+                    const auto& outer = made[uniform(0, made.size() - 1)];
+                    b = outer.first + uniform(0, outer.second - outer.first - 1);
+                    e = b + uniform(1, outer.second - b);
+                    break;
+                }
+                [[fallthrough]];
+            case 2:  // Anywhere: out of end order, possibly before begin.
+                b = uniform(0, cursor + 200);
+                e = b + uniform(1, 120);
+                break;
+            case 3:  // Zero-length or inverted: dropped on arrival.
+                b = uniform(0, cursor + 50);
+                e = b - std::min<Tick>(b, uniform(0, 3));
+                break;
+            default:  // End order: ends at or after every earlier one.
+                cursor += uniform(0, 30);
+                b = cursor - std::min<Tick>(cursor, uniform(0, 90));
+                e = cursor;
+                break;
+            }
+            if (e > b) made.emplace_back(b, e);
+            calls.push_back({TraceCall::kSpan, id, 0, stage, b, e});
+        }
+        // Most requests end; some before their last spans (work past the
+        // end), some never.
+        if (uniform(0, 9) < 8) {
+            const Tick end = uniform(0, 2) == 0 ? begin + uniform(0, 100) : cursor + uniform(0, 50);
+            calls.push_back({TraceCall::kEnd, id, 0, ReqStage::kHostLoad, end, 0});
+        }
+    }
+    if (seed % 4 == 0) {
+        std::shuffle(calls.begin(), calls.end(), rng);
+    } else {
+        for (std::size_t i = 1; i < calls.size(); ++i) {
+            if (uniform(0, 4) == 0) std::swap(calls[i - 1], calls[i]);
+        }
+    }
+    return calls;
+}
+
+template <typename Sink>
+void replay(const std::vector<TraceCall>& calls, Sink& sink) {
+    for (const TraceCall& c : calls) {
+        switch (c.kind) {
+        case TraceCall::kBegin: sink.onBegin(c.id, c.parent, "k", c.begin); break;
+        case TraceCall::kSpan: sink.onSpan(c.id, c.stage, c.begin, c.end); break;
+        case TraceCall::kEnd: sink.onEnd(c.id, c.begin); break;
+        }
+    }
+}
+
+// The in-memory session folds spans into per-stage unions as they arrive
+// and keeps no span list; a sidecar session writes the raw spans, which
+// computeBlame folds after reading them back. Both must blame alike.
+TEST(ReqTrace, FoldedBlameEqualsSidecarBlameOnRandomStreams) {
+    const std::string path = ::testing::TempDir() + "/fold.reqtrace.jsonl";
+    std::size_t spansSeen = 0;
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        std::mt19937_64 rng{seed};
+        const std::vector<TraceCall> calls = randomTraceStream(rng, seed);
+
+        ReqTraceSession folded{"", "fold", /*keepSpans=*/false};
+        replay(calls, folded);
+        folded.finish(0);
+        {
+            ReqTraceSession sidecar{path, "fold"};
+            replay(calls, sidecar);
+            sidecar.finish(0);
+            ASSERT_TRUE(sidecar.ok());
+        }
+        const ReqTraceFile file = readReqTrace(path);
+        for (const ReqRecord& rec : folded.data()) EXPECT_TRUE(rec.spans.empty());
+        for (const ReqRecord& rec : file.records) spansSeen += rec.spans.size();
+
+        const BlameSummary want = computeBlame(file.records);
+        expectSameBlame(computeBlame(folded.data()), want);
+        expectSameBlame(want, perTickBlame(file.records));
+    }
+    EXPECT_GT(spansSeen, 2'000u);
+    std::remove(path.c_str());
+}
+
+/// Feeds a replayed stream into an observer's request hooks.
+struct ObserverSink {
+    SimObserver& obs;
+    void onBegin(ReqId id, ReqId parent, const char* kind, Tick when) {
+        obs.requestBegin(id, parent, kind, when);
+    }
+    void onSpan(ReqId id, ReqStage stage, Tick b, Tick e) { obs.requestSpan(id, stage, b, e); }
+    void onEnd(ReqId id, Tick when) { obs.requestEnd(id, when); }
+};
+
+/// What an ObsSession left behind for one replayed stream: its request
+/// records and its trace file's request events ("request"/"reqstage").
+struct SessionOutput {
+    std::vector<ReqRecord> records;
+    std::vector<std::string> requestEvents;
+};
+
+SessionOutput runObsSession(const std::vector<TraceCall>& calls, const std::string& name,
+                            const std::string& reqtracePath, bool trace) {
+    ObsOptions opts;
+    opts.traceEnabled = trace;
+    opts.traceDir = ::testing::TempDir();
+    opts.reqtraceEnabled = true;
+    opts.reqtracePath = reqtracePath;
+    Simulation sim;
+    const auto session = ObsSession::create(sim, opts, name);
+    ObserverSink sink{*session};
+    replay(calls, sink);
+    session->finish();
+    SessionOutput out;
+    out.records = session->reqtrace()->data();
+    if (trace) {
+        std::istringstream lines{slurp(session->trace()->path())};
+        for (std::string line; std::getline(lines, line);) {
+            if (!line.empty() && line.back() == ',') line.pop_back();
+            if (line.find("\"cat\":\"reqstage\"") != std::string::npos ||
+                line.find("\"cat\":\"request\"") != std::string::npos) {
+                out.requestEvents.push_back(line);
+            }
+        }
+        std::remove(session->trace()->path().c_str());
+    }
+    return out;
+}
+
+using SpanTuple = std::tuple<ReqStage, Tick, Tick>;
+
+std::vector<std::vector<SpanTuple>> spansOf(const std::vector<ReqRecord>& records) {
+    std::vector<std::vector<SpanTuple>> out;
+    for (const ReqRecord& rec : records) {
+        auto& spans = out.emplace_back();
+        for (const ReqSpan& span : rec.spans) spans.emplace_back(span.stage, span.begin, span.end);
+    }
+    return out;
+}
+
+// The Perfetto trace reads raw spans, so an in-memory session feeding one
+// keeps them, and its request events are the ones a sidecar session's
+// trace carries. Without a trace (the DSE harness) no span list is kept.
+TEST(ReqTrace, TraceSinkKeepsRawSpansAndRequestEvents) {
+    const std::string sidecarPath = ::testing::TempDir() + "/sink.reqtrace.jsonl";
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        std::mt19937_64 rng{seed};
+        const std::vector<TraceCall> calls = randomTraceStream(rng, seed);
+
+        const SessionOutput inMemory = runObsSession(calls, "sink_inmem", "-", true);
+        const SessionOutput sidecar = runObsSession(calls, "sink_sidecar", sidecarPath, true);
+        const SessionOutput bare = runObsSession(calls, "sink_bare", "-", false);
+        const ReqTraceFile file = readReqTrace(sidecarPath);
+
+        EXPECT_EQ(spansOf(inMemory.records), spansOf(file.records));
+        std::size_t spans = 0;
+        for (const ReqRecord& rec : file.records) spans += rec.spans.size();
+        EXPECT_EQ(inMemory.requestEvents.size(), file.records.size() + spans);
+        EXPECT_EQ(inMemory.requestEvents, sidecar.requestEvents);
+        for (const ReqRecord& rec : bare.records) EXPECT_TRUE(rec.spans.empty());
+        expectSameBlame(computeBlame(bare.records), computeBlame(file.records));
+    }
+    std::remove(sidecarPath.c_str());
 }
 
 TEST(ReqTrace, BlameClipsSpansToTheRootWindow) {
