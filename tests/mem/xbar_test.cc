@@ -161,36 +161,42 @@ TEST(Xbar, HeavyBidirectionalStress) {
 /// count or the latency histogram.
 constexpr std::pair<Tick, std::uint64_t> kPinnedDeliveries[] = {
     {2'500, 1}, {4'500, 2}, {6'500, 10}, {8'500, 18}, {10'500, 26},
-    {12'500, 3}, {14'500, 11}, {16'500, 19}, {18'500, 27}, {20'500, 5},
-    {22'500, 13}, {24'500, 21}, {26'500, 29}, {28'500, 6}, {30'500, 14},
-    {32'500, 22}, {34'500, 30}, {36'500, 7}, {38'500, 15}, {40'500, 23},
-    {42'500, 31}, {44'500, 9}, {46'500, 17}, {48'500, 25}, {54'000, 4},
-    {57'500, 8}, {61'000, 12}, {64'000, 16}, {67'500, 20}, {71'000, 24},
-    {73'000, 33}, {75'000, 34}, {77'000, 42}, {79'000, 50}, {81'000, 58},
-    {83'000, 35}, {85'000, 43}, {87'000, 51}, {89'000, 59}, {91'000, 37},
-    {93'000, 45}, {95'000, 53}, {97'000, 61}, {99'000, 38}, {101'000, 46},
-    {103'000, 54}, {105'000, 62}, {107'000, 39}, {109'000, 47}, {111'000, 55},
-    {113'000, 63}, {115'000, 41}, {117'000, 49}, {119'000, 57}, {121'000, 28},
-    {123'000, 32}, {125'000, 36}, {127'000, 40}, {129'000, 44}, {131'000, 48},
-    {133'000, 52}, {135'000, 56}, {137'000, 60}, {139'000, 64}, {142'500, 65},
-    {144'500, 66}, {146'500, 74}, {148'500, 82}, {150'500, 90}, {152'500, 67},
-    {154'500, 75}, {156'500, 83}, {158'500, 91}, {160'500, 69}, {162'500, 77},
-    {164'500, 85}, {166'500, 93}, {168'500, 70}, {170'500, 78}, {172'500, 86},
-    {174'500, 94}, {176'500, 71}, {178'500, 79}, {180'500, 87}, {182'500, 95},
-    {184'500, 73}, {186'500, 81}, {188'500, 89}, {190'500, 68}, {192'500, 72},
-    {194'500, 76}, {196'500, 80}, {198'500, 84}, {200'500, 88}, {202'500, 92},
-    {204'500, 96},
+    {12'500, 34}, {14'500, 42}, {16'500, 50}, {18'500, 58}, {20'500, 3},
+    {22'500, 11}, {24'500, 19}, {26'500, 27}, {28'500, 35}, {30'500, 43},
+    {32'500, 51}, {34'500, 59}, {36'500, 5}, {38'500, 13}, {40'500, 21},
+    {42'500, 29}, {44'500, 37}, {46'500, 45}, {48'500, 53}, {50'500, 61},
+    {52'500, 6}, {54'500, 14}, {56'500, 22}, {58'500, 30}, {60'500, 38},
+    {62'500, 46}, {64'500, 54}, {66'500, 62}, {68'500, 7}, {70'500, 15},
+    {72'500, 23}, {74'500, 31}, {76'500, 39}, {78'500, 47}, {80'500, 55},
+    {82'500, 63}, {84'500, 9}, {86'500, 17}, {88'500, 25}, {90'500, 33},
+    {92'500, 41}, {94'500, 49}, {96'500, 57}, {98'500, 4}, {100'500, 8},
+    {102'500, 12}, {104'500, 16}, {106'500, 20}, {108'500, 24}, {110'500, 28},
+    {112'500, 32}, {114'500, 36}, {116'500, 40}, {118'500, 44}, {120'500, 48},
+    {122'500, 52}, {124'500, 56}, {126'500, 60}, {128'500, 64}, {130'500, 65},
+    {132'500, 73}, {134'500, 81}, {136'500, 89}, {138'500, 97}, {140'500, 105},
+    {142'500, 113}, {144'500, 121}, {146'500, 66}, {148'500, 74}, {150'500, 82},
+    {152'500, 90}, {154'500, 98}, {156'500, 106}, {158'500, 114}, {160'500, 122},
+    {162'500, 67}, {164'500, 75}, {166'500, 83}, {168'500, 91}, {170'500, 99},
+    {172'500, 107}, {174'500, 115}, {176'500, 123}, {178'500, 69}, {180'500, 77},
+    {182'500, 85}, {184'500, 93}, {186'500, 101}, {188'500, 109}, {190'500, 117},
+    {192'500, 125}, {194'500, 70}, {196'500, 78}, {198'500, 86}, {200'500, 94},
+    {202'500, 102}, {204'500, 110}, {206'500, 118}, {208'500, 126}, {210'500, 71},
+    {212'500, 79}, {214'500, 87}, {216'500, 95}, {218'500, 103}, {220'500, 111},
+    {222'500, 119}, {224'500, 127}, {226'500, 68}, {228'500, 72}, {230'500, 76},
+    {232'500, 80}, {234'500, 84}, {236'500, 88}, {238'500, 92}, {240'500, 96},
+    {242'500, 100}, {244'500, 104}, {246'500, 108}, {248'500, 112}, {250'500, 116},
+    {252'500, 120}, {254'500, 124}, {256'500, 128},
 };
-constexpr double kPinnedLayerConflicts = 322;
+constexpr double kPinnedLayerConflicts = 540;
 /// (bucket low edge, count) of the requester's round-trip histogram.
 constexpr std::pair<std::uint64_t, std::uint64_t> kPinnedLatencyBuckets[] = {
-    {1'472, 2}, {1'984, 1}, {3'456, 2}, {3'968, 1}, {4'480, 6},
-    {4'992, 3}, {11'264, 2}, {11'776, 1}, {12'288, 6}, {12'800, 3},
-    {19'456, 8}, {19'968, 4}, {27'136, 8}, {27'648, 4}, {34'816, 8},
-    {35'840, 4}, {41'984, 9}, {49'152, 1}, {50'176, 1}, {51'200, 1},
-    {52'224, 2}, {53'248, 2}, {54'272, 3}, {55'296, 2}, {56'320, 2},
-    {57'344, 2}, {58'368, 1}, {59'392, 2}, {60'416, 1}, {61'440, 1},
-    {64'512, 1}, {112'640, 1}, {114'688, 1},
+    {1'472, 1}, {3'456, 1}, {4'480, 7}, {19'456, 1}, {20'480, 7},
+    {29'184, 1}, {30'208, 7}, {34'816, 8}, {45'056, 1}, {46'080, 7},
+    {51'200, 8}, {61'440, 1}, {62'464, 7}, {65'536, 8}, {75'776, 8},
+    {81'920, 7}, {92'160, 8}, {96'256, 1}, {98'304, 2}, {100'352, 2},
+    {102'400, 2}, {104'448, 2}, {106'496, 3}, {108'544, 10}, {110'592, 2},
+    {124'928, 2}, {126'976, 2}, {129'024, 2}, {131'072, 4}, {135'168, 4},
+    {139'264, 2},
 };
 
 TEST(Xbar, ResponseWakeOrderIsPinned) {
@@ -220,18 +226,18 @@ TEST(Xbar, ResponseWakeOrderIsPinned) {
     MultiChannelDram dram{sim, "dram", dramParamsFor(MemTech::kDdr4_1ch, dramRange), store};
     xbar.addMemSidePort("dram", RouteSpec{dramRange}).bind(dram.port());
 
-    // 96 line reads, every fourth one to DRAM, issued in bursts so that
-    // dozens are in flight at once. Packet IDs start at 1 for this test.
+    // 128 line reads, every fourth one to DRAM, in two bursts of 64 that
+    // keep up to 71 reads in flight. Packet IDs start at 1 for this test.
     std::uint64_t ids = 0;
     {
         const PacketIdScope scope{ids};
-        for (int i = 0; i < 96; ++i) {
+        for (int i = 0; i < 128; ++i) {
             const Addr addr = (i % 4 == 3 ? dramRange.start : 0) + 64 * static_cast<Addr>(i);
-            req.issueAt(static_cast<Tick>(i / 32) * 70'000, makeReadPacket(addr, 64));
+            req.issueAt(static_cast<Tick>(i / 64) * 100'000, makeReadPacket(addr, 64));
         }
     }
     sim.run();
-    ASSERT_EQ(req.numResponses(), 96u);
+    ASSERT_EQ(req.numResponses(), 128u);
 
     using Deliveries = std::vector<std::pair<Tick, std::uint64_t>>;
     Deliveries delivered;
