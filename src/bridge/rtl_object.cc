@@ -13,10 +13,8 @@ RtlObject::RtlObject(Simulation& sim, std::string objName, const RtlObjectParams
       tlb_(tlb),
       // kRtlTick runs after every same-tick packet delivery and event pulse,
       // so a tick rescheduled by wake() samples exactly the state a
-      // free-running tick at the same edge would — the property that makes
-      // idle gating timing-neutral for one object. Among RTL objects on the
-      // same clock it is not: the woken tick's fresh sequence number puts
-      // it after peers that never stopped ticking.
+      // free-running tick at the same edge would. Among RTL objects at one
+      // edge the order key (below) keeps the woken tick in its slot.
       tickEvent_([this] { tick(); }, name() + ".tick", EventPriority::kRtlTick),
       statTicks_(stats_.scalar("ticks", "RTL clock ticks delivered to the model")),
       statDevReads_(stats_.scalar("devReads", "device-channel reads")),
@@ -43,6 +41,12 @@ RtlObject::RtlObject(Simulation& sim, std::string objName, const RtlObjectParams
         return total > 0.0 ? busy / total : 0.0;
     });
     simAssert(model_ != nullptr, "RtlObject needs a model");
+    // Same-edge order: the registration index, i.e. the attach order.
+    // Free-running ticks keep that order anyway (startup() schedules them
+    // in it and each reschedules itself from its own tick); the key makes a
+    // tick rescheduled by wake() take the same slot instead of the one its
+    // fresh sequence number would give it, after peers that never stopped.
+    tickEvent_.setOrderKey(sim.objects().size());
     for (unsigned i = 0; i < kNumCpuSidePorts; ++i) {
         cpuPorts_[i] = std::make_unique<CpuSidePort>(
             name() + ".cpu_side" + std::to_string(i), *this, i);
@@ -320,7 +324,8 @@ void RtlObject::wake() {
     // poking the bus between run() slices, or issuing at an edge the run
     // bound already closed) must be sampled at the *next* edge instead.
     Tick edge = clockEdge();
-    if (eventQueue().hasPassed(edge, static_cast<int>(EventPriority::kRtlTick))) {
+    if (eventQueue().hasPassed(edge, static_cast<int>(EventPriority::kRtlTick),
+                               tickEvent_.orderKey())) {
         edge += clockPeriod();
     }
     edge = std::max(edge, gatedAtEdge_);

@@ -3,8 +3,10 @@
 // An Event is something that happens at a simulated tick. Events are owned by
 // the objects that schedule them (typically as data members) and must outlive
 // any tick at which they are scheduled. The queue orders events by
-// (tick, priority, insertion sequence), which makes simulation fully
-// deterministic for a fixed program.
+// (tick, priority, rank), which makes simulation fully deterministic for a
+// fixed program. An event's rank is its insertion sequence, unless it has a
+// fixed order key (setOrderKey), which then ranks it wherever it is
+// rescheduled.
 #pragma once
 
 #include <cstddef>
@@ -28,6 +30,8 @@ enum class EventPriority : int {
                         ///< same-tick packet delivery and event pulse, so a
                         ///< tick rescheduled by a quiescence wake-up observes
                         ///< exactly the state a free-running tick would.
+                        ///< Only keyed events use it: each RTL tick is ranked
+                        ///< by its object's order key, never by sequence.
     kSimExit = 100,     ///< Exit checks run after all activity at a tick.
 };
 
@@ -50,10 +54,20 @@ public:
     Tick when() const { return when_; }
     int priority() const { return priority_; }
 
+    /// Rank this event by @p key among same-tick, same-priority events,
+    /// wherever and however often it is rescheduled, instead of by its
+    /// insertion sequence. Keys and sequences do not mix: give keys only to
+    /// events of a priority that no unkeyed event uses (kRtlTick).
+    void setOrderKey(std::uint64_t key) { orderKey_ = key; }
+    std::uint64_t orderKey() const { return orderKey_; }
+
+    static constexpr std::uint64_t kNoOrderKey = ~std::uint64_t{0};
+
 private:
     friend class EventQueue;
     Tick when_ = 0;
     int priority_ = static_cast<int>(EventPriority::kClockTick);
+    std::uint64_t orderKey_ = kNoOrderKey;
     std::size_t heapIndex_ = 0;     ///< Slot in the queue's heap while scheduled.
     bool scheduled_ = false;
     EventQueue* queue_ = nullptr;   ///< Queue the event is currently scheduled on.

@@ -12,7 +12,7 @@ Event::~Event() {
 bool EventQueue::laterThan(const Entry& a, const Entry& b) {
     if (a.when != b.when) return a.when > b.when;
     if (a.priority != b.priority) return a.priority > b.priority;
-    return a.sequence > b.sequence;
+    return a.rank > b.rank;
 }
 
 void EventQueue::siftUp(std::size_t idx) {
@@ -59,7 +59,9 @@ void EventQueue::schedule(Event& ev, Tick when) {
     ev.when_ = when;
     ev.scheduled_ = true;
     ev.queue_ = this;
-    heap_.push_back(Entry{when, ev.priority_, nextSequence_++, &ev});
+    const std::uint64_t rank =
+        ev.orderKey_ != Event::kNoOrderKey ? ev.orderKey_ : nextSequence_++;
+    heap_.push_back(Entry{when, ev.priority_, rank, &ev});
     siftUp(heap_.size() - 1);
 }
 
@@ -87,11 +89,12 @@ void EventQueue::serviceOne() {
 
     Event& ev = *top.event;
     simAssert(top.when >= curTick_, "event queue went backwards");
-    if (top.when > curTick_) {
+    if (top.when > curTick_ || top.priority > passedPriority_) {
         curTick_ = top.when;
         passedPriority_ = top.priority;
-    } else if (top.priority > passedPriority_) {
-        passedPriority_ = top.priority;
+        passedRank_ = top.rank;
+    } else if (top.priority == passedPriority_ && top.rank > passedRank_) {
+        passedRank_ = top.rank;
     }
     ev.scheduled_ = false;
     ++numProcessed_;

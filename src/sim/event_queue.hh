@@ -1,5 +1,5 @@
 // The central event queue: an indexed binary heap over (tick, priority,
-// sequence). Each scheduled event knows its heap slot, so descheduling (and
+// rank), where rank is the insertion sequence or the event's order key. Each scheduled event knows its heap slot, so descheduling (and
 // destroying a scheduled event) removes its entry at once in O(log n): no
 // heap entry ever outlives its event.
 #pragma once
@@ -56,13 +56,17 @@ public:
     }
 
     /// True when the dispatch position has moved past (@p when,
-    /// @p priority): a hypothetical event there would already have run.
-    /// Lets a wake path decide whether an ungated twin's tick at this very
-    /// edge would have fired by now — stimuli injected afterwards (e.g. an
-    /// embedder poking a bus between run() slices) must be sampled at the
-    /// *next* edge to keep gated and ungated timing identical.
-    bool hasPassed(Tick when, int priority) const {
-        return when < curTick_ || (when == curTick_ && priority <= passedPriority_);
+    /// @p priority, @p rank): a hypothetical event there would already have
+    /// run. Lets a wake path decide whether an ungated twin's tick at this
+    /// very edge would have fired by now — stimuli injected afterwards
+    /// (e.g. an embedder poking a bus between run() slices) must be sampled
+    /// at the *next* edge to keep gated and ungated timing identical. The
+    /// rank (an order key, Event::setOrderKey) places the twin among
+    /// same-priority peers: it has passed once a higher-ranked one ran.
+    bool hasPassed(Tick when, int priority, std::uint64_t rank) const {
+        if (when != curTick_) return when < curTick_;
+        return priority < passedPriority_ ||
+               (priority == passedPriority_ && rank <= passedRank_);
     }
 
     /// Total number of events processed so far.
@@ -81,7 +85,7 @@ private:
     struct Entry {
         Tick when;
         int priority;
-        std::uint64_t sequence;
+        std::uint64_t rank;  ///< Order key, or insertion sequence if unkeyed.
         Event* event;
     };
 
@@ -106,6 +110,8 @@ private:
     /// embedder schedules a fresh low-priority event at the current tick —
     /// the high-water mark keeps recording how far the tick had advanced.
     int passedPriority_ = -1;
+    /// Highest rank dispatched at (curTick_, passedPriority_).
+    std::uint64_t passedRank_ = 0;
     std::uint64_t nextSequence_ = 0;
     std::uint64_t numProcessed_ = 0;
 };

@@ -191,6 +191,60 @@ TEST(EventQueue, DestroyedEventLeavesNoHeapEntry) {
     }
 }
 
+// Keyed events rank by their order key at one (tick, priority), however
+// late or often each was (re)scheduled: a keyed tick that stopped and was
+// rescheduled late takes the slot it had, not one after its peers.
+TEST(EventQueue, OrderKeyRanksSamePriorityEventsRegardlessOfScheduleOrder) {
+    EventQueue q;
+    std::vector<int> order;
+    CallbackEvent a{[&] { order.push_back(0); }, "a", EventPriority::kRtlTick};
+    CallbackEvent b{[&] { order.push_back(1); }, "b", EventPriority::kRtlTick};
+    CallbackEvent c{[&] { order.push_back(2); }, "c", EventPriority::kRtlTick};
+    a.setOrderKey(0);
+    b.setOrderKey(1);
+    c.setOrderKey(2);
+    q.schedule(c, 100);
+    q.schedule(b, 100);
+    q.schedule(a, 100);
+    while (!q.empty()) q.serviceOne();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+
+    order.clear();
+    q.schedule(b, 200);
+    q.schedule(c, 300);
+    q.schedule(a, 300);
+    q.reschedule(b, 300);  // b is scheduled last at 300, yet runs between a and c.
+    while (!q.empty()) q.serviceOne();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+// hasPassed() places a hypothetical keyed event among its same-priority
+// peers: it has passed once an event of a higher key ran at that tick, and
+// not before.
+TEST(EventQueue, HasPassedComparesOrderKeysWithinAPriority) {
+    EventQueue q;
+    const int rtl = static_cast<int>(EventPriority::kRtlTick);
+    std::vector<std::pair<bool, bool>> seen;  // (key 1 passed, key 3 passed) at b.
+    CallbackEvent a{[] {}, "a", EventPriority::kRtlTick};
+    CallbackEvent b{[&] { seen.emplace_back(q.hasPassed(100, rtl, 1), q.hasPassed(100, rtl, 3)); },
+                    "b", EventPriority::kRtlTick};
+    a.setOrderKey(0);
+    b.setOrderKey(2);
+    q.schedule(a, 100);
+    q.schedule(b, 100);
+    EXPECT_FALSE(q.hasPassed(100, rtl, 0));
+    q.serviceOne();
+    EXPECT_TRUE(q.hasPassed(100, rtl, 0));
+    EXPECT_FALSE(q.hasPassed(100, rtl, 1));
+    EXPECT_FALSE(q.hasPassed(100, rtl + 1, 0));
+    EXPECT_TRUE(q.hasPassed(100, rtl - 1, 99));
+    q.serviceOne();
+    EXPECT_EQ(seen, (std::vector<std::pair<bool, bool>>{{true, false}}));
+    EXPECT_TRUE(q.hasPassed(99, rtl + 50, 0));
+    q.advanceTo(100);
+    EXPECT_TRUE(q.hasPassed(100, static_cast<int>(EventPriority::kSimExit), 7));
+}
+
 TEST(Simulation, RunsUntilQueueEmpty) {
     Simulation sim;
     int fired = 0;
