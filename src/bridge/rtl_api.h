@@ -10,15 +10,17 @@
  * (or the RTL toolflow that produced it) changes.
  *
  * Per tick, the simulator passes a G5rRtlInput (device-channel beat, one
- * memory response, in-flight credits, sideband event pulses) and receives a
- * G5rRtlOutput (device ready/response, new memory requests, interrupt level,
- * done flag, idle hint).
+ * memory response, in-flight credits, sideband event pulses, cycles skipped
+ * before this tick) and receives a G5rRtlOutput (device ready/response, new
+ * memory requests, interrupt level, done flag, idle and quiet hints).
  *
- * ABI versioning: v2 appends the idle_hint field to G5rRtlOutput. The v1
- * prefix of both structs is unchanged, so the simulator still loads v1
- * libraries (G5R_RTL_ABI_VERSION_MIN): the caller zero-fills the output
- * struct before every tick and additionally ignores idle_hint for any model
- * that reports abi_version < 2, so a v1 model is simply never idle.
+ * ABI versioning: each revision only appends fields, so the simulator still
+ * loads every library from G5R_RTL_ABI_VERSION_MIN on. The caller zero-fills
+ * both structs before every tick and ignores a hint the model's reported
+ * abi_version predates, so a stale byte is never trusted.
+ *   v2 appends G5rRtlOutput.idle_hint: a v1 model is simply never idle.
+ *   v3 appends G5rRtlOutput.quiet_hint and G5rRtlInput.skipped_cycles: a
+ *      v2 model never gets a quiet gap and always sees skipped_cycles == 0.
  */
 #ifndef G5R_BRIDGE_RTL_API_H
 #define G5R_BRIDGE_RTL_API_H
@@ -29,11 +31,13 @@
 extern "C" {
 #endif
 
-#define G5R_RTL_ABI_VERSION 2u
+#define G5R_RTL_ABI_VERSION 3u
 /* Oldest model ABI the simulator still accepts. */
 #define G5R_RTL_ABI_VERSION_MIN 1u
 /* First ABI revision whose G5rRtlOutput carries idle_hint. */
 #define G5R_RTL_ABI_IDLE_HINT 2u
+/* First ABI revision with quiet_hint and skipped_cycles. */
+#define G5R_RTL_ABI_QUIET_HINT 3u
 #define G5R_RTL_MAX_MEM_REQ 8u
 #define G5R_RTL_MEM_DATA_BYTES 64u
 #define G5R_RTL_NUM_EVENT_LINES 32u
@@ -68,6 +72,15 @@ typedef struct G5rRtlInput {
 
     /* Sideband event pulses accumulated since the previous tick. */
     uint32_t events[G5R_RTL_NUM_EVENT_LINES];
+
+    /* v3: idle clock cycles the simulator skipped between the previous
+     * tick and this one (0 while it ticks every cycle). Each was an edge
+     * with no device beat, no memory response, no event pulses and the
+     * credit grant of the cycle after the previous tick; the model advances
+     * over them, as if ticked with that input, before it takes this tick's
+     * input. Only a model that set idle_hint or quiet_hint on its previous
+     * tick receives a non-zero count. */
+    uint64_t skipped_cycles;
 } G5rRtlInput;
 
 /* Everything the model produces on one RTL clock tick. */
@@ -91,6 +104,19 @@ typedef struct G5rRtlOutput {
      * keep it 0 while waveform tracing is active, since skipped cycles
      * would otherwise be missing from the dump. */
     uint8_t idle_hint;
+
+    /* v3: stall promise, the weaker form of idle_hint. Non-zero promises
+     * that, given only idle cycles, the model's outputs stay empty: no
+     * memory request, no device response, the same irq and done levels.
+     * Its state may still move (a counter, a pipeline draining); the
+     * simulator may stop ticking it until external input arrives and then
+     * hands it the skipped cycles in skipped_cycles. A model whose idle
+     * cycles depend on the credit grant should promise only with the grant
+     * used up (mem_req_count == mem_req_credits this tick), so the skipped
+     * cycles see 0 credits; the grant can only grow again with a memory
+     * response, which ends the gap. The same waveform rule as idle_hint
+     * applies. */
+    uint8_t quiet_hint;
 } G5rRtlOutput;
 
 /* The function table a model shared library exposes. */

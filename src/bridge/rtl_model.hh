@@ -34,6 +34,11 @@ public:
     /// bridge never gates ticks of a pre-v2 model (the field did not exist,
     /// so a stale non-zero byte must not be trusted).
     bool supportsIdleHint() const { return abiVersion() >= G5R_RTL_ABI_IDLE_HINT; }
+
+    /// Whether G5rRtlOutput::quiet_hint is meaningful and the model folds
+    /// G5rRtlInput::skipped_cycles (ABI v3). An older model is never handed
+    /// skipped cycles.
+    bool supportsQuietHint() const { return abiVersion() >= G5R_RTL_ABI_QUIET_HINT; }
 };
 
 /// Wraps an API table + instance without owning any library handle.

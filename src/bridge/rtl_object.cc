@@ -16,6 +16,8 @@ RtlObject::RtlObject(Simulation& sim, std::string objName, const RtlObjectParams
       // free-running tick at the same edge would. Among RTL objects at one
       // edge the order key (below) keeps the woken tick in its slot.
       tickEvent_([this] { tick(); }, name() + ".tick", EventPriority::kRtlTick),
+      idleHintOk_(model_ != nullptr && model_->supportsIdleHint()),
+      quietHintOk_(model_ != nullptr && model_->supportsQuietHint()),
       statTicks_(stats_.scalar("ticks", "RTL clock ticks delivered to the model")),
       statDevReads_(stats_.scalar("devReads", "device-channel reads")),
       statDevWrites_(stats_.scalar("devWrites", "device-channel writes")),
@@ -26,7 +28,7 @@ RtlObject::RtlObject(Simulation& sim, std::string objName, const RtlObjectParams
       statZeroCreditTicks_(stats_.scalar("zeroCreditTicks",
                                          "ticks with no in-flight credits available")),
       statGatedTicks_(stats_.scalar("gatedTicks",
-                                    "RTL cycles skipped while quiescence-gated")),
+                                    "idle RTL cycles skipped on an idle hint")),
       statIrqEdges_(stats_.scalar("irqEdges", "interrupt line level changes")),
       statOutstandingHist_(stats_.histogram(
           "outstandingHist", "outstanding memory requests per tick")),
@@ -202,6 +204,8 @@ void RtlObject::issueModelRequests(const G5rRtlOutput& out) {
 void RtlObject::tick() {
     G5rRtlInput in{};
     G5rRtlOutput out{};
+    in.skipped_cycles = skippedCycles_;
+    skippedCycles_ = 0;
 
     // Present the oldest queued device beat (one outstanding device read at
     // a time, as befits a low-bandwidth config interface).
@@ -286,6 +290,7 @@ void RtlObject::tick() {
 
     if (canGate(out)) {
         gated_ = true;
+        quietGap_ = !(idleHintOk_ && out.idle_hint != 0);
         gatedAtEdge_ = clockEdge(1);
     } else {
         eventQueue().schedule(tickEvent_, clockEdge(1));
@@ -293,17 +298,21 @@ void RtlObject::tick() {
 }
 
 // The tick event may be descheduled only when skipping cycles is provably
-// invisible: the model promises its state is insensitive to idle cycles
-// (idle_hint, meaningful from ABI v2 on) and the bridge holds nothing that
-// would feed the model on a future tick. Every input source that could end
-// the idle stretch has a wake hook: recvDevReq, recvMemResp, and the event
-// bus's empty->non-empty callback. Spurious wakes are harmless (an ungated
-// bridge ticks every cycle anyway); only a missed wake could diverge.
+// invisible: the model promises that idle cycles leave its state alone
+// (idle_hint, from ABI v2 on) or at least its outputs (quiet_hint, v3), and
+// the bridge holds nothing that would feed the model on a future tick.
+// Outstanding memory requests do not count: their responses wake it. Every
+// input source that could end the idle stretch has a wake hook:
+// recvDevReq, recvMemResp, and the event bus's empty->non-empty callback.
+// Spurious wakes are harmless (an ungated bridge ticks every cycle anyway);
+// only a missed wake could diverge.
 bool RtlObject::canGate(const G5rRtlOutput& out) const {
-    if (!params_.gateIdleTicks || out.idle_hint == 0 || !model_->supportsIdleHint())
+    if (!params_.gateIdleTicks) return false;
+    if (!(idleHintOk_ && out.idle_hint != 0) && !(quietHintOk_ && out.quiet_hint != 0)) {
         return false;
+    }
     if (!devQueue_.empty() || devReadPending_.has_value()) return false;
-    if (!modelRespQueue_.empty() || outstanding_ != 0) return false;
+    if (!modelRespQueue_.empty()) return false;
     for (const auto& q : respQueues_)
         if (!q.empty()) return false;
     for (const auto& q : memSendQueues_)
@@ -312,25 +321,57 @@ bool RtlObject::canGate(const G5rRtlOutput& out) const {
     return true;
 }
 
+// Never before the edge the descheduled tick would have run at; at the next
+// edge not yet passed otherwise. kRtlTick priority puts the tick after this
+// wake's cause, so it samples the delivered input, and the order key puts it
+// among its same-edge peers where an ungated tick would be. One asymmetry:
+// when the dispatch position has already moved past this edge's tick slot
+// (an ungated twin's tick at this very edge would have fired by now), a
+// stimulus injected afterwards (an embedder poking the bus between run()
+// slices, or issuing at an edge the run bound already closed) must be
+// sampled at the *next* edge instead.
+Tick RtlObject::nextOpenEdge() {
+    const Tick edge = clockEdge();
+    return eventQueue().hasPassed(edge, static_cast<int>(EventPriority::kRtlTick),
+                                  tickEvent_.orderKey())
+               ? edge + clockPeriod()
+               : edge;
+}
+
+// The cycles of [gatedAtEdge_, edge) were skipped. On an idle_hint the
+// model never sees them (gatedTicks). On a quiet_hint the model gets them
+// in its next tick, so they count exactly as the delivered ticks of an
+// ungated run would have: in that stretch the outstanding count holds (a
+// response ends the gap before it decrements), the device queue is empty
+// (a request ends it before it is queued), and so is the credit grant.
+void RtlObject::skipTo(Tick edge) {
+    const std::uint64_t cycles = (edge - gatedAtEdge_) / clockPeriod();
+    gatedAtEdge_ = edge;
+    if (quietHintOk_) skippedCycles_ += cycles;
+    if (!quietGap_) {
+        statGatedTicks_ += static_cast<double>(cycles);
+        return;
+    }
+    statTicks_ += static_cast<double>(cycles);
+    if (outstanding_ >= params_.maxInflight) statZeroCreditTicks_ += static_cast<double>(cycles);
+    statOutstandingHist_.sampleInt(outstanding_, cycles);
+    statDevQueueHist_.sampleInt(devQueue_.size(), cycles);
+}
+
 void RtlObject::wake() {
     if (!gated_) return;
     gated_ = false;
-    // Never before the edge the descheduled tick would have run at; at the
-    // next edge not yet passed otherwise. kRtlTick priority puts the tick
-    // after this wake's cause, so it samples the delivered input. One
-    // asymmetry: when the dispatch position has already moved past this
-    // edge's tick slot — an ungated twin's tick at this very edge would
-    // have fired by now — a stimulus injected afterwards (an embedder
-    // poking the bus between run() slices, or issuing at an edge the run
-    // bound already closed) must be sampled at the *next* edge instead.
-    Tick edge = clockEdge();
-    if (eventQueue().hasPassed(edge, static_cast<int>(EventPriority::kRtlTick),
-                               tickEvent_.orderKey())) {
-        edge += clockPeriod();
-    }
-    edge = std::max(edge, gatedAtEdge_);
-    statGatedTicks_ += static_cast<double>((edge - gatedAtEdge_) / clockPeriod());
+    const Tick edge = std::max(nextOpenEdge(), gatedAtEdge_);
+    skipTo(edge);
     eventQueue().schedule(tickEvent_, edge);
+}
+
+// An idle gap's gatedTicks are counted when it ends, as they always were;
+// a quiet gap's delivered-tick stats must read as in an ungated run.
+void RtlObject::settleStats() {
+    if (!gated_ || !quietGap_) return;
+    const Tick edge = nextOpenEdge();
+    if (edge > gatedAtEdge_) skipTo(edge);
 }
 
 }  // namespace g5r

@@ -53,13 +53,16 @@ struct RtlObjectParams {
     /// Stop the simulation when the model raises its done flag.
     bool exitOnDone = false;
 
-    /// Deschedule the RTL tick event while the model reports quiescence
-    /// (G5rRtlOutput::idle_hint) and the bridge holds no queued work. Wakes
-    /// on device-request arrival, memory response, or an event-bus pulse.
-    /// Timing-neutral (see tick()/wake()): a woken tick runs at the edge and
-    /// in the same-edge slot (its order key) an ungated tick would have, so
-    /// any number of objects on one clock keep their order. Ignored for
-    /// pre-v2 models, which lack the hint.
+    /// Deschedule the RTL tick event while the model promises that idle
+    /// cycles change nothing it outputs (G5rRtlOutput::idle_hint, or the
+    /// v3 quiet_hint) and the bridge holds no queued work. Wakes on
+    /// device-request arrival, memory response, or an event-bus pulse; a v3
+    /// model is then handed the skipped cycles in one tick
+    /// (G5rRtlInput::skipped_cycles). Timing-neutral (see tick()/wake()): a
+    /// woken tick runs at the edge and in the same-edge slot (its order
+    /// key) an ungated tick would have, so any number of objects on one
+    /// clock keep their order. Ignored for pre-v2 models, which lack both
+    /// hints.
     bool gateIdleTicks = true;
 };
 
@@ -93,7 +96,9 @@ public:
     /// True while the tick event is descheduled on a quiescence hint.
     bool isGated() const { return gated_; }
 
-    /// RTL cycles skipped while gated (the new `gatedTicks` stat).
+    /// Idle cycles skipped on an idle_hint (the `gatedTicks` stat). Cycles
+    /// skipped on a quiet_hint are handed to the model and counted as
+    /// delivered `ticks` instead.
     std::uint64_t gatedTicks() const {
         return static_cast<std::uint64_t>(statGatedTicks_.value());
     }
@@ -103,6 +108,10 @@ public:
     void traceStop() { model_->traceStop(); }
 
     void startup() override;
+
+    /// Count the quiet-gap cycles whose edges have passed exactly as the
+    /// ticks an ungated run would have delivered by now.
+    void settleStats() override;
 
 private:
     class CpuSidePort final : public ResponsePort {
@@ -140,6 +149,10 @@ private:
     void issueModelRequests(const G5rRtlOutput& out);
     bool canGate(const G5rRtlOutput& out) const;
     void wake();
+    /// The first edge whose tick slot the dispatch position has not passed.
+    Tick nextOpenEdge();
+    /// Account @p cycles skipped up to @p edge and move the gap's start there.
+    void skipTo(Tick edge);
 
     RtlObjectParams params_;
     std::unique_ptr<RtlModel> model_;
@@ -186,8 +199,16 @@ private:
     // Quiescence gating. gatedAtEdge_ remembers the edge the descheduled
     // tick would have run at, so a wake in the same cycle re-runs it there
     // (never earlier, never twice) and later wakes can count skipped edges.
+    // quietGap_ marks a gap on a quiet_hint: its cycles are delivered to
+    // the model in bulk, so they count as ticks, not as gatedTicks.
     bool gated_ = false;
+    bool quietGap_ = false;
     Tick gatedAtEdge_ = 0;
+    /// Skipped cycles not yet handed to the model (v3 models only).
+    std::uint64_t skippedCycles_ = 0;
+    /// The model's ABI revision carries idle_hint / quiet_hint.
+    const bool idleHintOk_;
+    const bool quietHintOk_;
 
     stats::Scalar& statTicks_;
     stats::Scalar& statDevReads_;

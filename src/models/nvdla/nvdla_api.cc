@@ -22,6 +22,10 @@ public:
     /// @p out arrives zero-filled (the caller's side of the rtl_api.h ABI).
     void tick(const G5rRtlInput& in, G5rRtlOutput& out) {
         if (design_ == nullptr) reset();
+        if (in.skipped_cycles != 0) {
+            design_->skipIdleCycles(in.skipped_cycles);
+            cycle_ += in.skipped_cycles;
+        }
 
         if (readPending_) {
             out.dev_resp_valid = 1;
@@ -44,10 +48,14 @@ public:
 
         out.irq = design_->irqAsserted() ? 1 : 0;
         out.done = design_->doneFlag() ? 1 : 0;
-        // Idle only with the engine drained, no CSB read awaiting its reply
-        // beat, and no VCD recording (skipped cycles would be lost).
-        out.idle_hint =
-            design_->quiescent() && !readPending_ && vcd_ == nullptr ? 1 : 0;
+        // Idle with the engine drained, quiet while it waits on memory with
+        // nothing to emit; neither with a CSB read awaiting its reply beat or
+        // a VCD recording (skipped cycles would be missing from it).
+        if (!readPending_ && vcd_ == nullptr) {
+            out.idle_hint = design_->quiescent() ? 1 : 0;
+            out.quiet_hint =
+                design_->stalled(in.mem_req_credits - out.mem_req_count) ? 1 : 0;
+        }
         if (vcd_ != nullptr) vcd_->dumpCycle(cycle_);
     }
 

@@ -96,6 +96,20 @@ void NvdlaDesign::start() {
     perfCycles_ = 0;
 }
 
+bool NvdlaDesign::stripeReady() const {
+    if (!weights_.fullyReceived() || stripesDone_.q() >= stripesTotal_) return false;
+    const std::uint64_t stripesAvailable = std::min<std::uint64_t>(
+        ifmap_.receivedBytes / kStripeBytes + (ifmap_.fullyReceived() ? 1 : 0), stripesTotal_);
+    return stripesDone_.q() < stripesAvailable;
+}
+
+void NvdlaDesign::skipIdleCycles(std::uint64_t cycles) {
+    const G5rRtlInput idle{};
+    G5rRtlOutput out{};
+    for (; cycles > 0 && computeActive(); --cycles) cycle(idle, out);
+    cycleCount_ += cycles;
+}
+
 void NvdlaDesign::emitRead(G5rRtlOutput& out, Stream& stream) {
     const std::uint64_t remaining = stream.streamBytes - stream.issuedBytes;
     // Refetched streams wrap within the underlying region; never read past
@@ -192,23 +206,14 @@ void NvdlaDesign::cycle(const G5rRtlInput& in, G5rRtlOutput& out) {
                 (ofmapBytes_ * stripesDone_.q()) / stripesTotal_;
             ofmapReadyBytes_ += produced;
         }
-    } else if (weights_.fullyReceived() && stripesDone_.q() < stripesTotal_) {
-        const std::uint64_t stripesAvailable =
-            std::min<std::uint64_t>(ifmap_.receivedBytes / kStripeBytes +
-                                        (ifmap_.fullyReceived() ? 1 : 0),
-                                    stripesTotal_);
-        if (stripesDone_.q() < stripesAvailable) {
-            computeBusy_.setD(static_cast<std::uint32_t>(cyclesPerStripe_));
-        }
+    } else if (stripeReady()) {
+        computeBusy_.setD(static_cast<std::uint32_t>(cyclesPerStripe_));
     }
 
-    // Write channel: one request per cycle.
-    if (credits > 0 && ofmapIssued_ < ofmapBytes_ && ofmapReadyBytes_ >= kLineBytes) {
+    // Write channel: one request per cycle (a full line, or the final
+    // partial line once every stripe is done).
+    if (credits > 0 && writeReady()) {
         emitWrite(out);
-        --credits;
-    } else if (credits > 0 && ofmapIssued_ < ofmapBytes_ &&
-               stripesDone_.q() >= stripesTotal_ && ofmapReadyBytes_ > 0) {
-        emitWrite(out);  // Final partial line.
         --credits;
     }
 

@@ -77,13 +77,28 @@ public:
 
     /// True when idle cycles cannot change engine state: the conv pipeline
     /// is not running and every DMA read/write has drained. Basis of the
-    /// ABI idle hint; cycleCount_ may lag real time while the host gates
-    /// ticks, but perfCycles_ is a delta inside the (never-gated) running
-    /// window, so it is unaffected.
+    /// ABI idle hint; idle cycles then only advance the cycle counter.
     bool quiescent() const {
         return state_.q() != kStateRunning && inflight_.empty() &&
                writeAcksPending_ == 0;
     }
+
+    /// True when idle cycles (no response, @p creditsLeft credits) can emit
+    /// nothing until a memory response arrives: the engine runs with
+    /// requests in flight, and either no credit is left or every read is
+    /// issued while compute can neither run nor free a write. Completion
+    /// (irq, done) needs every request answered, so it cannot happen
+    /// either. Basis of the ABI quiet hint.
+    bool stalled(unsigned creditsLeft) const {
+        if (state_.q() != kStateRunning || inflight_.empty()) return false;
+        if (creditsLeft == 0) return true;
+        return weights_.fullyIssued() && ifmap_.fullyIssued() && !writeReady() &&
+               !computeActive();
+    }
+
+    /// Advance @p cycles idle cycles (no input, no credits) exactly as
+    /// cycle() would: step while compute is active, then only count.
+    void skipIdleCycles(std::uint64_t cycles);
     bool irqAsserted() const { return irq_.q() != 0; }
     std::uint64_t checksum() const { return checksum_; }
     std::uint64_t perfCycles() const { return perfCycles_; }
@@ -104,6 +119,18 @@ private:
     };
 
     void start();
+    /// A stripe may start: weights resident and its ifmap bytes arrived.
+    bool stripeReady() const;
+    /// Compute changes state on an idle cycle (counts down or starts).
+    bool computeActive() const {
+        return state_.q() == kStateRunning && (computeBusy_.q() > 0 || stripeReady());
+    }
+    /// The write channel has a line (or the final partial line) to emit.
+    bool writeReady() const {
+        return ofmapIssued_ < ofmapBytes_ &&
+               (ofmapReadyBytes_ >= kLineBytes ||
+                (stripesDone_.q() >= stripesTotal_ && ofmapReadyBytes_ > 0));
+    }
     void emitRead(G5rRtlOutput& out, Stream& stream);
     void emitWrite(G5rRtlOutput& out);
 

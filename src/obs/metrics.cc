@@ -52,6 +52,7 @@ void MetricsSession::refreshChannels() {
 void MetricsSession::sampleAt(Tick when) {
     nextTick_ = when + interval_;
     if (!ok_) return;
+    sim_.settleStats();
     refreshChannels();
     exp::Json deltas = exp::Json::object();
     for (Channel& ch : channels_) {

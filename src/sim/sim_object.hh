@@ -33,6 +33,11 @@ public:
     /// events here.
     virtual void startup() {}
 
+    /// Bring statistics the object accumulates lazily up to the current
+    /// dispatch position. Simulation::run() calls it on every object before
+    /// it returns, and the metrics sampler before each sample.
+    virtual void settleStats() {}
+
     Simulation& simulation() { return sim_; }
     EventQueue& eventQueue();
     Tick curTick() const;

@@ -50,8 +50,13 @@ RunResult Simulation::run(Tick maxTick) {
 
     if (observer_ != nullptr) observer_->runBegin();
     const RunResult result = runLoop(maxTick);
+    settleStats();
     if (observer_ != nullptr) observer_->runEnd();
     return result;
+}
+
+void Simulation::settleStats() {
+    for (SimObject* obj : objects_) obj->settleStats();
 }
 
 RunResult Simulation::runLoop(Tick maxTick) {

@@ -50,6 +50,9 @@ public:
     /// called. init()/startup() hooks run exactly once, on the first call.
     RunResult run(Tick maxTick = kMaxTick);
 
+    /// SimObject::settleStats() on every registered object.
+    void settleStats();
+
     /// Dump every registered object's statistics.
     void dumpStats(std::ostream& os) const;
 

@@ -131,6 +131,19 @@ public:
         if (v > max_) max_ = v;
     }
 
+    /// @p n samples of @p v at once: the same state as n sampleInt(v)
+    /// calls while the sum stays exact (below 2^53).
+    void sampleInt(std::uint64_t v, std::uint64_t n) {
+        if (n == 0) return;
+        const std::size_t idx = bucketIndex(v);
+        if (idx >= counts_.size()) counts_.resize(idx + 1, 0);
+        counts_[idx] += n;
+        count_ += n;
+        sum_ += static_cast<double>(v) * static_cast<double>(n);
+        if (v < min_) min_ = v;
+        if (v > max_) max_ = v;
+    }
+
     /// Doubles round to the nearest integer magnitude; negatives clamp to 0.
     void sample(double v) {
         if (!(v > 0.0)) { sampleInt(0); return; }  // NaN and negatives too.
@@ -173,6 +186,9 @@ public:
         max_ = 0;
     }
 
+    /// Same samples, bucket for bucket (exact compare of the sum too).
+    bool operator==(const HistogramData&) const = default;
+
     /// Visit every non-empty bucket in ascending value order:
     /// fn(low, high, count).
     template <typename Fn>
@@ -199,6 +215,7 @@ public:
 
     void sample(double v) { data_.sample(v); }
     void sampleInt(std::uint64_t v) { data_.sampleInt(v); }
+    void sampleInt(std::uint64_t v, std::uint64_t n) { data_.sampleInt(v, n); }
 
     const HistogramData& data() const { return data_; }
 

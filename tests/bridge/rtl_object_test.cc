@@ -3,7 +3,9 @@
 // translation, clock ratios, interrupts, and a full NVDLA-over-SoC run.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
+#include <string>
 
 #include "bridge/rtl_object.hh"
 #include "common/flaky_forwarder.hh"
@@ -12,6 +14,8 @@
 #include "mem/xbar.hh"
 #include "models/nvdla/trace.hh"
 #include "models/pmu/pmu_design.hh"
+#include "obs/diff.hh"
+#include "obs/session.hh"
 #include "soc/nvdla_host.hh"
 
 #ifndef G5R_MODEL_DIR
@@ -146,11 +150,35 @@ TEST(RtlObjectPmu, ThresholdInterruptReachesTheCallback) {
 
 // ----------------------------------------------------------- NVDLA-on-SoC --
 
+/// Forwards to a real model and counts what the bridge hands it.
+class CountingModel final : public RtlModel {
+public:
+    explicit CountingModel(std::unique_ptr<RtlModel> inner) : inner_(std::move(inner)) {}
+    const char* modelName() const override { return inner_->modelName(); }
+    std::uint32_t abiVersion() const override { return inner_->abiVersion(); }
+    void reset() override { inner_->reset(); }
+    void tick(const G5rRtlInput& in, G5rRtlOutput& out) override {
+        ++calls;
+        skipped += in.skipped_cycles;
+        inner_->tick(in, out);
+    }
+    bool traceStart(const std::string& vcdPath) override { return inner_->traceStart(vcdPath); }
+    void traceStop() override { inner_->traceStop(); }
+
+    std::uint64_t calls = 0;    ///< tick() calls, i.e. tick events dispatched.
+    std::uint64_t skipped = 0;  ///< Skipped cycles handed over in them.
+
+private:
+    std::unique_ptr<RtlModel> inner_;
+};
+
 struct NvdlaSocHarness {
     static constexpr Addr kCsbBase = 0x6000'0000;
 
+    /// A non-empty @p recordPath flight-records the run there.
     explicit NvdlaSocHarness(unsigned maxInflight = 64, bool useTlb = false,
-                             bool gateIdleTicks = true, bool flakyMemPath = false) {
+                             bool gateIdleTicks = true, bool flakyMemPath = false,
+                             const std::string& recordPath = {}) {
         const auto shape = [] {
             models::NvdlaShape s;
             s.width = s.height = 16;
@@ -181,9 +209,11 @@ struct NvdlaSocHarness {
         rp.maxInflight = maxInflight;
         rp.translate = useTlb;
         rp.gateIdleTicks = gateIdleTicks;
-        rtl = std::make_unique<RtlObject>(
-            sim, "nvdla0", rp, SharedLibModel::load(modelPath("libnvdla_rtl.so"), ""),
-            nullptr, tlb.get());
+        auto model = std::make_unique<CountingModel>(
+            SharedLibModel::load(modelPath("libnvdla_rtl.so"), ""));
+        counter = model.get();
+        rtl = std::make_unique<RtlObject>(sim, "nvdla0", rp, std::move(model), nullptr,
+                                          tlb.get());
 
         NvdlaHost::Params hp;
         hp.csbBase = kCsbBase;
@@ -203,9 +233,27 @@ struct NvdlaSocHarness {
         xbar->addMemSidePort("mem", RouteSpec{mp.range}).bind(mem->port());
         xbar->addMemSidePort("csb", RouteSpec{AddrRange{kCsbBase, kCsbBase + 0x1000}})
             .bind(rtl->cpuSidePort(0));
+
+        if (!recordPath.empty()) {
+            obs::ObsOptions opts;
+            opts.recordEnabled = true;
+            opts.recordPath = recordPath;
+            obsSession = obs::ObsSession::create(sim, opts, "nvdla_soc");
+        }
     }
 
-    RunResult run() { return sim.run(sim.curTick() + 500'000'000'000ULL); }
+    RunResult run() {
+        const RunResult result = sim.run(sim.curTick() + 500'000'000'000ULL);
+        if (obsSession != nullptr) obsSession->finish();
+        return result;
+    }
+
+    double stat(const std::string& name) const {
+        return sim.findStat("nvdla0." + name)->value();
+    }
+    stats::HistogramData hist(const std::string& name) const {
+        return dynamic_cast<const stats::Histogram&>(*sim.findStat("nvdla0." + name)).data();
+    }
 
     Simulation sim;
     BackingStore store;
@@ -215,7 +263,9 @@ struct NvdlaSocHarness {
     std::unique_ptr<Tlb> tlb;
     std::unique_ptr<testing::FlakyForwarder> flaky;
     std::unique_ptr<RtlObject> rtl;
+    CountingModel* counter = nullptr;
     std::unique_ptr<NvdlaHost> host;
+    std::unique_ptr<obs::ObsSession> obsSession;
 };
 
 TEST(RtlObjectNvdla, EndToEndTraceRunVerifiesChecksum) {
@@ -348,6 +398,66 @@ TEST(RtlObjectGating, NvdlaRunIsTimingIdenticalGatedVsUngated) {
     EXPECT_EQ(ungated.rtl->gatedTicks(), 0u);
 }
 
+// A stalled NVDLA (no credit left, or nothing to issue before a response)
+// promises quiet_hint; the bridge then stops ticking it and hands it the
+// skipped cycles with the response. Simulated traffic must not move, and
+// every delivered-tick stat must read as if each cycle had been ticked.
+TEST(RtlObjectGating, NvdlaStallSkipKeepsPacketsAndTickStatsExact) {
+    for (const unsigned inflight : {1u, 16u}) {
+        SCOPED_TRACE("maxInflight=" + std::to_string(inflight));
+        const std::string stem =
+            ::testing::TempDir() + "/stall_q" + std::to_string(inflight) + "_";
+        NvdlaSocHarness gated{inflight, false, /*gateIdleTicks=*/true, false,
+                              stem + "gated.g5rec"};
+        NvdlaSocHarness ungated{inflight, false, /*gateIdleTicks=*/false, false,
+                                stem + "ungated.g5rec"};
+        gated.run();
+        ungated.run();
+        ASSERT_TRUE(gated.host->checksumOk());
+        ASSERT_TRUE(ungated.host->checksumOk());
+        EXPECT_EQ(gated.host->finishTick(), ungated.host->finishTick());
+        const obs::DivergenceReport rep = obs::diffRecordingFiles(
+            stem + "gated.g5rec", stem + "ungated.g5rec", obs::DiffLane::kPacketsOnly);
+        ASSERT_TRUE(rep.comparable) << rep.error;
+        EXPECT_FALSE(rep.diverged) << obs::formatDivergenceReport(rep, "gated", "ungated");
+
+        // Idle cycles (idle_hint) stay out of the delivered-tick stats, as
+        // before; every other cycle, skipped stall cycles included, is in.
+        const double idle = gated.stat("gatedTicks");
+        EXPECT_EQ(gated.stat("ticks") + idle, ungated.stat("ticks"));
+        EXPECT_EQ(gated.stat("zeroCreditTicks"), ungated.stat("zeroCreditTicks"));
+        EXPECT_GT(gated.stat("zeroCreditTicks"), 0.0);
+        for (const char* name : {"outstandingHist", "devQueueHist"}) {
+            stats::HistogramData withIdle = gated.hist(name);
+            withIdle.sampleInt(0, static_cast<std::uint64_t>(idle));
+            EXPECT_EQ(withIdle, ungated.hist(name)) << name;
+        }
+
+        // The skip engaged, and every cycle reached the model exactly once.
+        EXPECT_GT(gated.counter->skipped, 0u);
+        EXPECT_LT(static_cast<double>(gated.counter->calls), gated.stat("ticks"));
+        EXPECT_EQ(static_cast<double>(gated.counter->calls + gated.counter->skipped),
+                  gated.stat("ticks") + idle);
+        EXPECT_EQ(ungated.counter->skipped, 0u);
+        EXPECT_EQ(static_cast<double>(ungated.counter->calls), ungated.stat("ticks"));
+    }
+}
+
+// A waveform needs every cycle: with VCD tracing on, the model promises
+// nothing, so no cycle is skipped or gated.
+TEST(RtlObjectGating, VcdTracingDisablesTheSkip) {
+    const std::string vcd = ::testing::TempDir() + "/stall_traced.vcd";
+    NvdlaSocHarness h{1};
+    ASSERT_TRUE(h.rtl->traceStart(vcd));
+    h.run();
+    h.rtl->traceStop();
+    ASSERT_TRUE(h.host->checksumOk());
+    EXPECT_EQ(h.counter->skipped, 0u);
+    EXPECT_EQ(h.rtl->gatedTicks(), 0u);
+    EXPECT_EQ(static_cast<double>(h.counter->calls), h.stat("ticks"));
+    std::remove(vcd.c_str());
+}
+
 namespace v1compat {
 
 // A minimal ABI-v1 model: its tick writes only the v1 output prefix, so any
@@ -376,6 +486,154 @@ TEST(RtlObjectGating, V1AbiModelsLoadButNeverGate) {
     EXPECT_FALSE(rtl.isGated());
     EXPECT_EQ(rtl.gatedTicks(), 0u);
     EXPECT_GE(sim.findStat("v1_obj.ticks")->value(), 99.0);
+}
+
+namespace hintmodel {
+
+// A model that reports both hints on every tick (as stale bytes, for an ABI
+// revision that predates them) and records the skipped cycles it is given.
+struct State {
+    std::uint64_t ticks = 0;
+    std::uint64_t skipped = 0;
+    bool idle = true;
+};
+State* lastCreated = nullptr;
+
+void* create(const char* config) {
+    lastCreated = new State;
+    lastCreated->idle = std::string{config} != "quiet-only";
+    return lastCreated;
+}
+void destroy(void* m) { delete static_cast<State*>(m); }
+void reset(void*) {}
+void tick(void* m, const G5rRtlInput* in, G5rRtlOutput* out) {
+    auto& s = *static_cast<State*>(m);
+    ++s.ticks;
+    s.skipped += in->skipped_cycles;
+    out->idle_hint = s.idle ? 1 : 0;
+    out->quiet_hint = 1;
+}
+
+constexpr G5rRtlModelApi kV2 = {2u, "v2model", create, destroy, reset, tick, nullptr, nullptr};
+constexpr G5rRtlModelApi kV3 = {3u, "v3model", create, destroy, reset, tick, nullptr, nullptr};
+
+}  // namespace hintmodel
+
+// The bridge hands skipped cycles only to a model of ABI v3 or later, and
+// honours quiet_hint only there: a v2 model still gates on idle_hint, but
+// its next tick reports no skipped cycles, and a quiet_hint byte alone
+// never gates it.
+TEST(RtlObjectGating, V2ModelNeverReceivesSkippedCycles) {
+    for (const G5rRtlModelApi* api : {&hintmodel::kV2, &hintmodel::kV3}) {
+        SCOPED_TRACE(api->name);
+        Simulation sim;
+        HwEventBus bus;
+        RtlObject rtl(sim, "obj", RtlObjectParams{},
+                      std::make_unique<ApiRtlModel>(api, "both"), &bus);
+        const hintmodel::State& state = *hintmodel::lastCreated;
+        sim.run(100'000);  // 100 RTL cycles at 1 GHz: gated after the first.
+        ASSERT_TRUE(rtl.isGated());
+        bus.pulse(HwEventBus::kCommit0);
+        sim.run(sim.curTick() + 10'000);
+        EXPECT_GT(rtl.gatedTicks(), 90u);
+        EXPECT_EQ(state.skipped, api->abi_version >= 3 ? rtl.gatedTicks() : 0u);
+    }
+
+    Simulation sim;
+    RtlObject rtl(sim, "obj", RtlObjectParams{},
+                  std::make_unique<ApiRtlModel>(&hintmodel::kV2, "quiet-only"));
+    const hintmodel::State& state = *hintmodel::lastCreated;
+    sim.run(100'000);
+    EXPECT_FALSE(rtl.isGated());
+    EXPECT_EQ(state.skipped, 0u);
+    EXPECT_GE(state.ticks, 100u);
+}
+
+namespace stallmodel {
+
+// Issues one read on its first tick, then waits for it with the one credit
+// used up (quiet_hint), and ticks every cycle once answered. Counts its own
+// clock, skipped cycles included, so a skip shows in when the answer is
+// seen.
+struct State {
+    std::uint64_t cycle = 0;
+    std::uint64_t answeredAt = 0;
+    std::uint64_t skippedAtAnswer = 0;
+    bool issued = false;
+};
+State* lastCreated = nullptr;
+
+void* create(const char*) { return lastCreated = new State; }
+void destroy(void* m) { delete static_cast<State*>(m); }
+void reset(void*) {}
+void tick(void* m, const G5rRtlInput* in, G5rRtlOutput* out) {
+    auto& s = *static_cast<State*>(m);
+    s.cycle += in->skipped_cycles + 1;
+    if (in->mem_resp_valid != 0) {
+        s.answeredAt = s.cycle;
+        s.skippedAtAnswer = in->skipped_cycles;
+    }
+    if (!s.issued && in->mem_req_credits > 0) {
+        s.issued = true;
+        out->mem_req_count = 1;
+        out->mem_req[0].id = 7;
+        out->mem_req[0].addr = 0x40;
+        out->mem_req[0].size = 8;
+    }
+    out->quiet_hint = s.issued && s.answeredAt == 0 ? 1 : 0;
+}
+
+constexpr G5rRtlModelApi kApi = {G5R_RTL_ABI_VERSION, "stall", create, destroy, reset, tick,
+                                 nullptr, nullptr};
+
+struct Harness {
+    Harness(Tick memLatency, bool gate) {
+        SimpleMemory::Params mp;
+        mp.range = AddrRange{0, 1 << 20};
+        mp.latency = memLatency;
+        mem = std::make_unique<SimpleMemory>(sim, "mem", mp, store);
+        RtlObjectParams rp;
+        rp.maxInflight = 1;
+        rp.gateIdleTicks = gate;
+        rtl = std::make_unique<RtlObject>(sim, "obj", rp,
+                                          std::make_unique<ApiRtlModel>(&kApi, ""));
+        state = lastCreated;
+        rtl->memSidePort(0).bind(mem->port());
+    }
+    double ticks() const { return sim.findStat("obj.ticks")->value(); }
+
+    Simulation sim;
+    BackingStore store;
+    std::unique_ptr<SimpleMemory> mem;
+    std::unique_ptr<RtlObject> rtl;
+    const State* state = nullptr;
+};
+
+}  // namespace stallmodel
+
+// The tick at edge 0 issues the read and promises quiet from edge 1 on. A
+// response that arrives exactly on edge 1 wakes the model into that same
+// edge with zero skipped cycles; one that arrives mid-cycle later is seen
+// on the next edge, after the whole gap is handed over. Either way the
+// model sees it on the cycle an ungated run does, and the delivered-tick
+// count agrees at every run() bound, mid-gap included.
+TEST(RtlObjectGating, WakeOnTheEdgeRightAfterAStall) {
+    const Tick period = periodFromGHz(1);
+    for (const Tick latency : {period, 3 * period + period / 2}) {
+        SCOPED_TRACE("memory latency " + std::to_string(latency));
+        stallmodel::Harness gated{latency, true};
+        stallmodel::Harness ungated{latency, false};
+        for (const Tick bound : {period / 2, 2 * period + period / 2, 10 * period}) {
+            gated.sim.run(bound);
+            ungated.sim.run(bound);
+            EXPECT_EQ(gated.ticks(), ungated.ticks()) << "at tick " << bound;
+        }
+        ASSERT_NE(ungated.state->answeredAt, 0u);
+        EXPECT_EQ(gated.state->answeredAt, ungated.state->answeredAt);
+        const std::uint64_t edgesWaited = (latency + period - 1) / period;
+        EXPECT_EQ(gated.state->skippedAtAnswer, edgesWaited - 1);
+        EXPECT_EQ(ungated.state->skippedAtAnswer, 0u);
+    }
 }
 
 // ------------------------------------------------------- device-queue retry --

@@ -152,6 +152,33 @@ TEST(Histogram, MergeIsLossless) {
     EXPECT_DOUBLE_EQ(fresh.p99(), whole.p99());
 }
 
+TEST(Histogram, BulkSampleEqualsRepeatedSingleSamples) {
+    // sampleInt(v, n) is how the RTL bridge accounts a run of skipped
+    // cycles at once; it must leave exactly the state of n single samples.
+    Lcg rng{11};
+    HistogramData bulk, single;
+    for (int i = 0; i < 400; ++i) {
+        const std::uint64_t v = rng.next() % (i % 2 == 0 ? 300 : 5'000'000);
+        const std::uint64_t n = rng.next() % 40;  // Zero included: a no-op.
+        bulk.sampleInt(v, n);
+        for (std::uint64_t k = 0; k < n; ++k) single.sampleInt(v);
+    }
+    EXPECT_GT(single.count(), 0u);
+    EXPECT_EQ(bulk, single);
+    EXPECT_EQ(bulk.mean(), single.mean());
+    EXPECT_EQ(bulk.p99(), single.p99());
+
+    HistogramData untouched;
+    untouched.sampleInt(7, 0);
+    EXPECT_EQ(untouched, HistogramData{});
+    EXPECT_EQ(untouched.minValue(), 0.0);
+
+    Histogram stat{"h", "bulk via the Stat wrapper"};
+    stat.sampleInt(3, 5);
+    EXPECT_EQ(stat.count(), 5u);
+    EXPECT_EQ(stat.mean(), 3.0);
+}
+
 TEST(Histogram, SmallValuesAreExact) {
     // Identity buckets: every value below kSubBuckets is its own bucket, so
     // quantiles of small queue depths are exact, not approximate.
