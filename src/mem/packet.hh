@@ -48,7 +48,7 @@ public:
         // finally destroys them. Flag check first: untracked packets (the
         // universe, when observability is off) pay only this one branch.
         if (flowTracked_) {
-            if (SimObserver* obs = threadObserver()) obs->packetCompleted(id_);
+            if (SimObserver* obs = threadPacketObserver()) obs->packetCompleted(id_);
         }
     }
 

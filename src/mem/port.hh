@@ -119,7 +119,7 @@ inline void RequestPort::bind(ResponsePort& peer) {
 inline bool RequestPort::sendTimingReq(PacketPtr& pkt) {
     simAssert(peer_ != nullptr, "sendTimingReq on unbound port");
     simAssert(pkt != nullptr && pkt->isRequest(), "sendTimingReq needs a request packet");
-    SimObserver* obs = threadObserver();
+    SimObserver* obs = threadPacketObserver();
     if (obs == nullptr) return peer_->recvTimingReq(pkt);
 
     // Capture identity before the call: on acceptance the peer takes
@@ -158,7 +158,7 @@ inline void RequestPort::sendFunctional(Packet& pkt) {
 inline bool ResponsePort::sendTimingResp(PacketPtr& pkt) {
     simAssert(peer_ != nullptr, "sendTimingResp on unbound port");
     simAssert(pkt != nullptr && pkt->isResponse(), "sendTimingResp needs a response packet");
-    SimObserver* obs = threadObserver();
+    SimObserver* obs = threadPacketObserver();
     if (obs == nullptr) return peer_->recvTimingResp(pkt);
 
     const std::uint64_t id = pkt->id();

@@ -111,14 +111,16 @@ public:
     /// Request tracing alone needs no dispatch hook: its spans arrive
     /// through the component-driven request hooks, with their own ticks. So
     /// a session whose only sink is the request trace (the DSE harness's
-    /// always-on stage blame) leaves the event queue unobserved. The trace
-    /// still costs its request hooks and computeBlame: perfbench's
-    /// reqtrace_cost_pct reads 7-8% of fig7_dse and table3_nvdla job time
-    /// (EXPERIMENTS.md).
+    /// always-on stage blame) leaves the event queue unobserved, and the
+    /// port layer's packet hooks too (observesPackets). The trace still
+    /// costs its request hooks and computeBlame.
     bool observesDispatches() const override {
         return trace_ != nullptr || profiler_ != nullptr || recorder_ != nullptr ||
                metrics_ != nullptr;
     }
+    /// Only the trace (flow arrows) and the recorder (packet lane) use the
+    /// packet hooks; without them the port layer skips every per-hop call.
+    bool observesPackets() const override { return trace_ != nullptr || recorder_ != nullptr; }
     void packetIssued(std::uint64_t id, std::uint64_t addr, unsigned size,
                       bool isRead) override;
     void packetForwarded(std::uint64_t id) override;

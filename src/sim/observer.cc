@@ -4,6 +4,7 @@ namespace g5r {
 
 namespace detail {
 thread_local SimObserver* tlsSimObserver = nullptr;
+thread_local SimObserver* tlsPacketObserver = nullptr;
 }  // namespace detail
 
 const char* reqStageName(ReqStage stage) {
@@ -19,10 +20,16 @@ const char* reqStageName(ReqStage stage) {
     return "?";
 }
 
-ObserverScope::ObserverScope(SimObserver* observer) : prev_(detail::tlsSimObserver) {
+ObserverScope::ObserverScope(SimObserver* observer)
+    : prev_(detail::tlsSimObserver), prevPacket_(detail::tlsPacketObserver) {
     detail::tlsSimObserver = observer;
+    detail::tlsPacketObserver =
+        observer != nullptr && observer->observesPackets() ? observer : nullptr;
 }
 
-ObserverScope::~ObserverScope() { detail::tlsSimObserver = prev_; }
+ObserverScope::~ObserverScope() {
+    detail::tlsSimObserver = prev_;
+    detail::tlsPacketObserver = prevPacket_;
+}
 
 }  // namespace g5r

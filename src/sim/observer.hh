@@ -72,6 +72,11 @@ public:
     /// Asked once, when the observer is attached.
     virtual bool observesDispatches() const { return true; }
 
+    /// False for an observer that ignores the four packet hooks below: the
+    /// port layer then neither calls them nor marks packets flow-tracked.
+    /// Asked once per Simulation::run(), when the observer is installed.
+    virtual bool observesPackets() const { return true; }
+
     /// Packet lifecycle, reported by the port layer (mem/port.hh). "Issued"
     /// fires at the first accepted timing send of a response-needing packet,
     /// "forwarded" at each later accepted request hop, "responded" at each
@@ -103,15 +108,20 @@ public:
 
 namespace detail {
 extern thread_local SimObserver* tlsSimObserver;
+extern thread_local SimObserver* tlsPacketObserver;
 }  // namespace detail
 
 /// The calling thread's active observer; nullptr when observability is off
 /// (the common case — callers branch on this and pay nothing more).
 inline SimObserver* threadObserver() { return detail::tlsSimObserver; }
 
+/// The same observer when it observes packets (SimObserver::observesPackets),
+/// else nullptr: what the port layer reports packet lifecycles to.
+inline SimObserver* threadPacketObserver() { return detail::tlsPacketObserver; }
+
 /// RAII: install @p observer (may be nullptr) as the calling thread's
-/// active observer. Scopes nest; the previous observer is restored on
-/// destruction.
+/// active observer, and as its packet observer if it observes packets.
+/// Scopes nest; the previous observers are restored on destruction.
 class ObserverScope {
 public:
     explicit ObserverScope(SimObserver* observer);
@@ -121,6 +131,7 @@ public:
 
 private:
     SimObserver* prev_;
+    SimObserver* prevPacket_;
 };
 
 }  // namespace g5r

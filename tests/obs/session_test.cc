@@ -297,6 +297,56 @@ TEST(ObsSession, RequestTraceOnlySessionLeavesDispatchesUnobserved) {
     EXPECT_EQ(sim.eventQueue().observer(), session.get());
 }
 
+// Counts the packet hooks the port layer delivers.
+class PacketSpy final : public SimObserver {
+public:
+    explicit PacketSpy(bool packets) : packets_(packets) {}
+    void dispatchBegin(const Event&, Tick) override {}
+    void dispatchEnd(Tick) override {}
+    bool observesDispatches() const override { return false; }
+    bool observesPackets() const override { return packets_; }
+    void packetIssued(std::uint64_t, std::uint64_t, unsigned, bool) override { ++calls; }
+    void packetForwarded(std::uint64_t) override { ++calls; }
+    void packetResponded(std::uint64_t) override { ++calls; }
+    void packetCompleted(std::uint64_t) override { ++completed; }
+    int calls = 0;
+    int completed = 0;
+
+private:
+    bool packets_;
+};
+
+// An observer that declines packets gets no per-hop calls and no packet is
+// flow-tracked (so none reports completion); one that wants them gets a
+// balanced lifecycle per request. A request-trace-only session declines.
+TEST(ObsSession, PacketHooksReachOnlyObserversThatWantThem) {
+    for (const bool packets : {false, true}) {
+        SCOPED_TRACE(packets ? "observes packets" : "declines packets");
+        Harness h{ObsOptions{}, "packet_spy"};
+        PacketSpy spy{packets};
+        h.sim.setObserver(&spy);
+        constexpr int kReads = 8;
+        for (int i = 0; i < kReads; ++i) h.req->issueAt(0, makeReadPacket(64 * i, 64));
+        h.sim.run();
+        h.sim.setObserver(nullptr);
+        EXPECT_EQ(h.req->numResponses(), kReads);
+        EXPECT_EQ(spy.calls, packets ? 2 * kReads : 0);  // Issued + responded.
+        EXPECT_EQ(spy.completed, packets ? kReads : 0);
+    }
+
+    ObsOptions opts;
+    opts.reqtraceEnabled = true;
+    opts.reqtracePath = "-";
+    Simulation sim;
+    const auto reqtraceOnly = ObsSession::create(sim, opts, "reqtrace_only");
+    EXPECT_FALSE(reqtraceOnly->observesPackets());
+    opts.recordEnabled = true;
+    opts.recordPath = ::testing::TempDir() + "/packet_hooks.g5rec";
+    Simulation recorded;
+    const auto withRecorder = ObsSession::create(recorded, opts, "recorded");
+    EXPECT_TRUE(withRecorder->observesPackets());
+}
+
 // CI entry point: after running examples/obs_profile with GEM5RTL_TRACE,
 // the workflow points G5R_TRACE_CHECK_FILE at the emitted trace and runs
 // --gtest_filter=TraceCheck.*; locally (env unset) the check skips.
