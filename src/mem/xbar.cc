@@ -1,6 +1,7 @@
 #include "mem/xbar.hh"
 
 #include <algorithm>
+#include <utility>
 
 namespace g5r {
 
@@ -162,9 +163,11 @@ void Xbar::finishReqLayer(unsigned dstDown) {
     Layer& layer = reqLayers_[dstDown];
     layer.busy = false;
     layer.waitingPeer = false;
-    std::vector<unsigned> waiting;
-    waiting.swap(layer.retryList);
-    for (const unsigned up : waiting) upPorts_[up]->sendReqRetry();
+    std::vector<unsigned> waking =
+        std::exchange(layer.retryList, std::move(layer.spareList));
+    for (const unsigned up : waking) upPorts_[up]->sendReqRetry();
+    waking.clear();
+    layer.spareList = std::move(waking);
 }
 
 // ---------------------------------------------------------- response path --
@@ -214,16 +217,29 @@ void Xbar::finishRespLayer(unsigned dstUp) {
     Layer& layer = respLayers_[dstUp];
     layer.busy = false;
     layer.waitingPeer = false;
-    std::vector<unsigned> waiting;
-    waiting.swap(layer.retryList);
+    std::vector<unsigned> waking =
+        std::exchange(layer.retryList, std::move(layer.spareList));
     // Wake waiters in order only while the layer is free. Once one of them
     // re-occupies it, each later waiter would resend into a busy layer and
     // be refused with no other effect (the response-retry contract in
-    // port.hh), so it is re-queued and counted exactly as that refusal
-    // would have been, without the call.
-    auto next = waiting.begin();
-    for (; next != waiting.end() && !layer.busy; ++next) downPorts_[*next]->sendRespRetry();
-    for (; next != waiting.end(); ++next) refuse(layer, *next);
+    // port.hh), so the rest are re-queued in order and counted exactly as
+    // those refusals would have been, without the calls. They are distinct,
+    // so only the senders refused during the wakes can duplicate one.
+    auto next = waking.begin();
+    for (; next != waking.end() && !layer.busy; ++next) downPorts_[*next]->sendRespRetry();
+    layerConflicts_ += static_cast<double>(waking.end() - next);
+    std::vector<unsigned>& queue = layer.retryList;
+    const auto refusedDuringWakes = static_cast<std::ptrdiff_t>(queue.size());
+    if (refusedDuringWakes == 0) {
+        queue.insert(queue.end(), next, waking.end());
+    } else {
+        for (; next != waking.end(); ++next) {
+            const auto fresh = queue.begin() + refusedDuringWakes;
+            if (std::find(queue.begin(), fresh, *next) == fresh) queue.push_back(*next);
+        }
+    }
+    waking.clear();
+    layer.spareList = std::move(waking);
 }
 
 void Xbar::handleFunctional(Packet& pkt) {

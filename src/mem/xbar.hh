@@ -84,6 +84,9 @@ private:
         PacketPtr pkt;
         unsigned srcIdx = 0;  ///< Where the packet came from (for routing back).
         std::vector<unsigned> retryList;
+        /// Storage for the next retryList: a release wakes the old list and
+        /// parks its emptied storage here, so no release allocates.
+        std::vector<unsigned> spareList;
         std::unique_ptr<CallbackEvent> deliverEvent;
         std::unique_ptr<CallbackEvent> freeEvent;
     };
