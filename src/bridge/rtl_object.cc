@@ -301,11 +301,14 @@ void RtlObject::tick() {
 // invisible: the model promises that idle cycles leave its state alone
 // (idle_hint, from ABI v2 on) or at least its outputs (quiet_hint, v3), and
 // the bridge holds nothing that would feed the model on a future tick.
-// Outstanding memory requests do not count: their responses wake it. Every
-// input source that could end the idle stretch has a wake hook:
-// recvDevReq, recvMemResp, and the event bus's empty->non-empty callback.
-// Spurious wakes are harmless (an ungated bridge ticks every cycle anyway);
-// only a missed wake could diverge.
+// Outstanding memory requests do not count: their responses wake it. Nor
+// do queued sends (memory requests, device responses): a send stays queued
+// only while its port is blocked, the tick's send calls are then no-ops,
+// and the port's retry sends it without a tick. Every input source that
+// could end the idle stretch has a wake hook: recvDevReq, recvMemResp, and
+// the event bus's empty->non-empty callback. Spurious wakes are harmless
+// (an ungated bridge ticks every cycle anyway); only a missed wake could
+// diverge.
 bool RtlObject::canGate(const G5rRtlOutput& out) const {
     if (!params_.gateIdleTicks) return false;
     if (!(idleHintOk_ && out.idle_hint != 0) && !(quietHintOk_ && out.quiet_hint != 0)) {
@@ -313,12 +316,7 @@ bool RtlObject::canGate(const G5rRtlOutput& out) const {
     }
     if (!devQueue_.empty() || devReadPending_.has_value()) return false;
     if (!modelRespQueue_.empty()) return false;
-    for (const auto& q : respQueues_)
-        if (!q.empty()) return false;
-    for (const auto& q : memSendQueues_)
-        if (!q.empty()) return false;
-    if (eventBus_ != nullptr && eventBus_->hasPending()) return false;
-    return true;
+    return eventBus_ == nullptr || !eventBus_->hasPending();
 }
 
 // Never before the edge the descheduled tick would have run at; at the next

@@ -61,9 +61,10 @@ std::string sext(const NetlistGraph& g, int src, const std::string& opnd) {
 
 /// The pure C declarations the generated translation unit needs. Emitted
 /// verbatim so the .so is self-contained: it mirrors bridge/rtl_api.h (ABI
-/// v2) and rtl/codegen/netlist_kernel.h (ABI v1) field for field — any
-/// drift is caught immediately by the conformance tests, which drive the
-/// library through the real headers.
+/// v2; later revisions only append fields, and a compiled model never
+/// stalls, so it stays a v2 model) and rtl/codegen/netlist_kernel.h (ABI
+/// v1) field for field — any drift is caught immediately by the
+/// conformance tests, which drive the library through the real headers.
 constexpr const char* kAbiDecls = R"(
 extern "C" {
 

@@ -402,14 +402,21 @@ TEST(RtlObjectGating, NvdlaRunIsTimingIdenticalGatedVsUngated) {
 // promises quiet_hint; the bridge then stops ticking it and hands it the
 // skipped cycles with the response. Simulated traffic must not move, and
 // every delivered-tick stat must read as if each cycle had been ticked.
+// The flaky memory path rejects a third of the model's requests, so the
+// bridge also gates with sends queued behind a blocked port.
 TEST(RtlObjectGating, NvdlaStallSkipKeepsPacketsAndTickStatsExact) {
-    for (const unsigned inflight : {1u, 16u}) {
-        SCOPED_TRACE("maxInflight=" + std::to_string(inflight));
-        const std::string stem =
-            ::testing::TempDir() + "/stall_q" + std::to_string(inflight) + "_";
-        NvdlaSocHarness gated{inflight, false, /*gateIdleTicks=*/true, false,
+    struct Case {
+        unsigned inflight;
+        bool flaky;
+    };
+    for (const Case c : {Case{1, false}, Case{16, false}, Case{8, true}}) {
+        const std::string name =
+            "q" + std::to_string(c.inflight) + (c.flaky ? "_flaky" : "");
+        SCOPED_TRACE(name);
+        const std::string stem = ::testing::TempDir() + "/stall_" + name + "_";
+        NvdlaSocHarness gated{c.inflight, false, /*gateIdleTicks=*/true, c.flaky,
                               stem + "gated.g5rec"};
-        NvdlaSocHarness ungated{inflight, false, /*gateIdleTicks=*/false, false,
+        NvdlaSocHarness ungated{c.inflight, false, /*gateIdleTicks=*/false, c.flaky,
                                 stem + "ungated.g5rec"};
         gated.run();
         ungated.run();
@@ -427,10 +434,10 @@ TEST(RtlObjectGating, NvdlaStallSkipKeepsPacketsAndTickStatsExact) {
         EXPECT_EQ(gated.stat("ticks") + idle, ungated.stat("ticks"));
         EXPECT_EQ(gated.stat("zeroCreditTicks"), ungated.stat("zeroCreditTicks"));
         EXPECT_GT(gated.stat("zeroCreditTicks"), 0.0);
-        for (const char* name : {"outstandingHist", "devQueueHist"}) {
-            stats::HistogramData withIdle = gated.hist(name);
+        for (const char* hist : {"outstandingHist", "devQueueHist"}) {
+            stats::HistogramData withIdle = gated.hist(hist);
             withIdle.sampleInt(0, static_cast<std::uint64_t>(idle));
-            EXPECT_EQ(withIdle, ungated.hist(name)) << name;
+            EXPECT_EQ(withIdle, ungated.hist(hist)) << hist;
         }
 
         // The skip engaged, and every cycle reached the model exactly once.
