@@ -172,22 +172,35 @@ private:
     std::unique_ptr<RtlModel> inner_;
 };
 
+models::NvdlaShape tinyShape() {
+    models::NvdlaShape s;
+    s.width = s.height = 16;
+    s.inChannels = s.outChannels = 8;
+    s.filterH = s.filterW = 1;
+    s.refetch = 1;
+    return s;
+}
+
+/// Four ifmap stripes of a 3x3 convolution: compute on one stripe overlaps
+/// the reads of the next, so stalls happen with compute running.
+models::NvdlaShape stripedShape() {
+    models::NvdlaShape s = tinyShape();
+    s.width = s.height = 32;
+    s.outChannels = 16;
+    s.filterH = s.filterW = 3;
+    return s;
+}
+
 struct NvdlaSocHarness {
     static constexpr Addr kCsbBase = 0x6000'0000;
 
     /// A non-empty @p recordPath flight-records the run there.
     explicit NvdlaSocHarness(unsigned maxInflight = 64, bool useTlb = false,
                              bool gateIdleTicks = true, bool flakyMemPath = false,
-                             const std::string& recordPath = {}) {
-        const auto shape = [] {
-            models::NvdlaShape s;
-            s.width = s.height = 16;
-            s.inChannels = s.outChannels = 8;
-            s.filterH = s.filterW = 1;
-            s.refetch = 1;
-            return s;
-        }();
-        trace = models::sharedConvTrace("tiny", shape, models::NvdlaPlacement{}, 21);
+                             const std::string& recordPath = {},
+                             const models::NvdlaShape& shape = tinyShape()) {
+        trace = models::sharedConvTrace(shape.width == 16 ? "tiny" : "striped", shape,
+                                        models::NvdlaPlacement{}, 21);
 
         xbar = std::make_unique<Xbar>(sim, "xbar", Xbar::Params{});
         SimpleMemory::Params mp;
@@ -402,8 +415,10 @@ TEST(RtlObjectGating, NvdlaRunIsTimingIdenticalGatedVsUngated) {
 // promises quiet_hint; the bridge then stops ticking it and hands it the
 // skipped cycles with the response. Simulated traffic must not move, and
 // every delivered-tick stat must read as if each cycle had been ticked.
-// The flaky memory path rejects a third of the model's requests, so the
-// bridge also gates with sends queued behind a blocked port.
+// The striped shape stalls with compute running, so the model must fold
+// skipped cycles into its compute state; the flaky memory path rejects a
+// third of the model's requests, so the bridge also gates with sends queued
+// behind a blocked port.
 TEST(RtlObjectGating, NvdlaStallSkipKeepsPacketsAndTickStatsExact) {
     struct Case {
         unsigned inflight;
@@ -415,9 +430,9 @@ TEST(RtlObjectGating, NvdlaStallSkipKeepsPacketsAndTickStatsExact) {
         SCOPED_TRACE(name);
         const std::string stem = ::testing::TempDir() + "/stall_" + name + "_";
         NvdlaSocHarness gated{c.inflight, false, /*gateIdleTicks=*/true, c.flaky,
-                              stem + "gated.g5rec"};
+                              stem + "gated.g5rec", stripedShape()};
         NvdlaSocHarness ungated{c.inflight, false, /*gateIdleTicks=*/false, c.flaky,
-                                stem + "ungated.g5rec"};
+                                stem + "ungated.g5rec", stripedShape()};
         gated.run();
         ungated.run();
         ASSERT_TRUE(gated.host->checksumOk());
