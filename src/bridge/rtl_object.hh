@@ -55,7 +55,7 @@ struct RtlObjectParams {
 
     /// Deschedule the RTL tick event while the model promises that idle
     /// cycles change nothing it outputs (G5rRtlOutput::idle_hint, or the
-    /// v3 quiet_hint) and the bridge holds no queued work. Wakes on
+    /// v3 quiet_hint) and the bridge holds no input for it. Wakes on
     /// device-request arrival, memory response, or an event-bus pulse; a v3
     /// model is then handed the skipped cycles in one tick
     /// (G5rRtlInput::skipped_cycles). Timing-neutral (see tick()/wake()): a
@@ -151,7 +151,7 @@ private:
     void wake();
     /// The first edge whose tick slot the dispatch position has not passed.
     Tick nextOpenEdge();
-    /// Account @p cycles skipped up to @p edge and move the gap's start there.
+    /// Account the cycles skipped up to @p edge; the gap now starts there.
     void skipTo(Tick edge);
 
     RtlObjectParams params_;

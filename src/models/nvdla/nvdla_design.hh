@@ -99,6 +99,7 @@ public:
     /// Advance @p cycles idle cycles (no input, no credits) exactly as
     /// cycle() would: step while compute is active, then only count.
     void skipIdleCycles(std::uint64_t cycles);
+
     bool irqAsserted() const { return irq_.q() != 0; }
     std::uint64_t checksum() const { return checksum_; }
     std::uint64_t perfCycles() const { return perfCycles_; }
