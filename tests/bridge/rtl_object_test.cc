@@ -199,8 +199,7 @@ struct NvdlaSocHarness {
                              bool gateIdleTicks = true, bool flakyMemPath = false,
                              const std::string& recordPath = {},
                              const models::NvdlaShape& shape = tinyShape()) {
-        trace = models::sharedConvTrace(shape.width == 16 ? "tiny" : "striped", shape,
-                                        models::NvdlaPlacement{}, 21);
+        trace = models::sharedConvTrace("nvdla_soc", shape, models::NvdlaPlacement{}, 21);
 
         xbar = std::make_unique<Xbar>(sim, "xbar", Xbar::Params{});
         SimpleMemory::Params mp;
