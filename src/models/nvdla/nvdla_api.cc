@@ -3,6 +3,7 @@
 // CSB/AXI interface classes map onto the generic dev/memory channels of the
 // bridge ABI.
 #include <memory>
+#include <optional>
 
 #include "bridge/rtl_api.h"
 #include "models/nvdla/nvdla_design.hh"
@@ -13,15 +14,18 @@ namespace {
 
 class NvdlaWrapper {
 public:
+    /// Rebuilds the design in its own storage, so an attached VCD writer,
+    /// which holds references to its registers, traces the fresh design
+    /// (a trace may start before the simulator's first reset).
     void reset() {
-        design_ = std::make_unique<NvdlaDesign>();
+        design_.emplace();
         cycle_ = 0;
         readPending_ = false;
     }
 
     /// @p out arrives zero-filled (the caller's side of the rtl_api.h ABI).
     void tick(const G5rRtlInput& in, G5rRtlOutput& out) {
-        if (design_ == nullptr) reset();
+        if (!design_) reset();
         if (in.skipped_cycles != 0) {
             design_->skipIdleCycles(in.skipped_cycles);
             cycle_ += in.skipped_cycles;
@@ -60,7 +64,7 @@ public:
     }
 
     int traceStart(const char* path) {
-        if (design_ == nullptr) reset();
+        if (!design_) reset();
         vcd_ = std::make_unique<rtl::VcdWriter>(path, *design_);
         if (!vcd_->ok()) {
             vcd_.reset();
@@ -72,7 +76,7 @@ public:
     void traceStop() { vcd_.reset(); }
 
 private:
-    std::unique_ptr<NvdlaDesign> design_;
+    std::optional<NvdlaDesign> design_;
     std::unique_ptr<rtl::VcdWriter> vcd_;
     std::uint64_t cycle_ = 0;
     bool readPending_ = false;
