@@ -28,6 +28,8 @@ namespace g5r::bench {
 struct DsePoint {
     double normalized = 0;
     Tick runtime = 0;
+    /// Each instance's finish tick, so a gate sees two instances swap.
+    std::vector<Tick> perAcceleratorTicks;
     double wallSeconds = 0;   ///< Host seconds for this one simulation.
     bool ok = false;
     std::string error;        ///< Why the point failed, when it did.
@@ -98,6 +100,7 @@ inline DseColumn runDseColumn(const models::NvdlaShape& shape,
     const auto idealRun = timed(cfg, column.ideal.wallSeconds);
     column.ideal.normalized = 1.0;
     column.ideal.runtime = idealRun.runtimeTicks;
+    column.ideal.perAcceleratorTicks = idealRun.perAcceleratorTicks;
     column.ideal.ok = idealRun.completed && idealRun.checksumsOk;
     column.ideal.memLatency = idealRun.memLatency;
     column.ideal.memLatencyP50 = idealRun.memLatencyP50;
@@ -112,6 +115,7 @@ inline DseColumn runDseColumn(const models::NvdlaShape& shape,
             DsePoint point;
             const auto run = timed(cfg, point.wallSeconds);
             point.runtime = run.runtimeTicks;
+            point.perAcceleratorTicks = run.perAcceleratorTicks;
             point.ok = run.completed && run.checksumsOk;
             point.normalized = experiments::normalizedPerf(idealRun, run);
             point.memLatency = run.memLatency;
@@ -280,8 +284,9 @@ inline int printAndCheckDse(const DseResults& results, const std::string& figure
 }
 
 /// Serialize a DSE sweep to BENCH_<figure>.json: one entry per sweep point
-/// (tech "ideal" included) with runtime ticks, wall seconds, normalized
-/// perf, and checksum status, plus host/config metadata.
+/// (tech "ideal" included) with runtime ticks (overall and per instance),
+/// wall seconds, normalized perf, and checksum status, plus host/config
+/// metadata.
 inline void writeDseBenchJson(const DseResults& results, const std::string& benchName,
                               const std::string& filename,
                               const std::string& workloadName) {
@@ -297,6 +302,9 @@ inline void writeDseBenchJson(const DseResults& results, const std::string& benc
         entry["memPath"] = memPath;
         entry["maxInflight"] = inflight;
         entry["runtimeTicks"] = p.runtime;
+        exp::Json perAccel = exp::Json::array();
+        for (const Tick t : p.perAcceleratorTicks) perAccel.push(t);
+        entry["perAcceleratorTicks"] = std::move(perAccel);
         entry["wallSeconds"] = p.wallSeconds;
         entry["normalizedPerf"] = p.normalized;
         entry["checksumOk"] = p.ok;

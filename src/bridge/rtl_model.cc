@@ -7,19 +7,24 @@
 namespace g5r {
 
 ApiRtlModel::ApiRtlModel(const G5rRtlModelApi* api, const std::string& config) : api_(api) {
+    // A malformed table fails here, before any call into the model.
+    // trace_start/trace_stop are optional.
     if (api_ == nullptr) throw std::runtime_error("null RTL model API table");
-    if (api_->abi_version < G5R_RTL_ABI_VERSION_MIN ||
-        api_->abi_version > G5R_RTL_ABI_VERSION) {
-        throw std::runtime_error(std::string{"RTL model '"} + api_->name +
-                                 "' built against ABI v" + std::to_string(api_->abi_version) +
-                                 ", simulator accepts v" +
+    if (api_->name == nullptr) throw std::runtime_error("RTL model API table has a null name");
+    const std::string model = std::string{"RTL model '"} + api_->name + "'";
+    if (api_->abi_version < G5R_RTL_ABI_VERSION_MIN || api_->abi_version > G5R_RTL_ABI_VERSION) {
+        throw std::runtime_error(model + " built against ABI v" +
+                                 std::to_string(api_->abi_version) + ", simulator accepts v" +
                                  std::to_string(G5R_RTL_ABI_VERSION_MIN) + "..v" +
                                  std::to_string(G5R_RTL_ABI_VERSION));
     }
+    if (api_->create == nullptr) throw std::runtime_error(model + " has a null create");
+    if (api_->destroy == nullptr) throw std::runtime_error(model + " has a null destroy");
+    if (api_->reset == nullptr) throw std::runtime_error(model + " has a null reset");
+    if (api_->tick == nullptr) throw std::runtime_error(model + " has a null tick");
     instance_ = api_->create(config.c_str());
     if (instance_ == nullptr) {
-        throw std::runtime_error(std::string{"RTL model '"} + api_->name +
-                                 "' create() failed (config: " + config + ")");
+        throw std::runtime_error(model + " create() failed (config: " + config + ")");
     }
 }
 

@@ -44,7 +44,7 @@ public:
 /// Wraps an API table + instance without owning any library handle.
 class ApiRtlModel : public RtlModel {
 public:
-    /// Throws std::runtime_error on ABI mismatch or failed create().
+    /// Throws std::runtime_error on a malformed API table or failed create().
     ApiRtlModel(const G5rRtlModelApi* api, const std::string& config);
     ~ApiRtlModel() override;
     ApiRtlModel(const ApiRtlModel&) = delete;

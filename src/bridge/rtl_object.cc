@@ -15,7 +15,7 @@ RtlObject::RtlObject(Simulation& sim, std::string objName, const RtlObjectParams
       // so a tick rescheduled by wake() samples exactly the state a
       // free-running tick at the same edge would. Among RTL objects at one
       // edge the order key (below) keeps the woken tick in its slot.
-      tickEvent_([this] { tick(); }, name() + ".tick", EventPriority::kRtlTick),
+      tickEvent_(*this, "tick", [this] { tick(); }, EventPriority::kRtlTick),
       idleHintOk_(model_ != nullptr && model_->supportsIdleHint()),
       quietHintOk_(model_ != nullptr && model_->supportsQuietHint()),
       statTicks_(stats_.scalar("ticks", "RTL clock ticks delivered to the model")),

@@ -14,7 +14,7 @@ OooCore::OooCore(Simulation& sim, std::string objName, const OooCoreParams& para
       params_(params),
       iport_(name() + ".icache_port", *this),
       dport_(name() + ".dcache_port", *this),
-      tickEvent_([this] { tick(); }, name() + ".tick"),
+      tickEvent_(*this, "tick", [this] { tick(); }),
       fetchPc_(entryPc),
       statCommitted_(stats_.scalar("committedInsts", "instructions committed")),
       statCycles_(stats_.scalar("numCycles", "core cycles (including sleep)")),

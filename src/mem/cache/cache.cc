@@ -24,8 +24,8 @@ Cache::Cache(Simulation& sim, std::string objName, const CacheParams& params)
       numSets_(numSetsOf(params)),
       cpuSide_(name() + ".cpu_side", *this),
       memSide_(name() + ".mem_side", *this),
-      reqEvent_([this] { trySendRequests(); }, name() + ".reqEvent"),
-      respEvent_([this] { trySendResponses(); }, name() + ".respEvent",
+      reqEvent_(*this, "reqEvent", [this] { trySendRequests(); }),
+      respEvent_(*this, "respEvent", [this] { trySendResponses(); },
                  EventPriority::kResponse),
       prefetcher_(params.prefetchDegree, params.lineSize),
       hits_(stats_.scalar("hits", "demand hits")),

@@ -16,7 +16,7 @@ DramChannel::DramChannel(Simulation& sim, std::string objName,
       totalBanks_(params.banks * params.ranks),
       linesPerRow_(params.rowBufferBytes / 64),
       banks_(totalBanks_),
-      nextReqEvent_([this] { processNextRequest(); }, name() + ".nextReq"),
+      nextReqEvent_(*this, "nextReq", [this] { processNextRequest(); }),
       rowHits_(stats_.scalar("rowHits", "column accesses hitting an open row")),
       rowMisses_(stats_.scalar("rowMisses", "column accesses needing activate")),
       readBursts_(stats_.scalar("readBursts", "read bursts serviced")),
@@ -198,7 +198,7 @@ MultiChannelDram::MultiChannelDram(Simulation& sim, std::string objName,
       params_(params),
       store_(backing),
       port_(name() + ".port", *this),
-      sendEvent_([this] { trySendResponses(); }, name() + ".sendEvent",
+      sendEvent_(*this, "sendEvent", [this] { trySendResponses(); },
                  EventPriority::kResponse),
       numReads_(stats_.scalar("numReads", "read requests accepted")),
       numWrites_(stats_.scalar("numWrites", "write requests accepted")),

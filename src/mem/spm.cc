@@ -16,7 +16,7 @@ Spm::Spm(Simulation& sim, std::string objName, const Params& params)
       params_(params),
       cpuPort_(name() + ".cpu_side", *this),
       memPort_(name() + ".mem_side", *this),
-      sendEvent_([this] { trySendResponses(); }, name() + ".sendEvent",
+      sendEvent_(*this, "sendEvent", [this] { trySendResponses(); },
                  EventPriority::kResponse),
       bankBusyUntil_(std::max(1u, params.banks), 0),
       readHits_(stats_.scalar("readHits", "reads served from resident lines")),

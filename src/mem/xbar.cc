@@ -55,10 +55,10 @@ ResponsePort& Xbar::addCpuSidePort(const std::string& suffix) {
     respLayers_.emplace_back();
     Layer& layer = respLayers_.back();
     layer.deliverEvent = std::make_unique<CallbackEvent>(
-        [this, idx] { deliverResp(idx); }, name() + ".respDeliver." + suffix,
+        *this, "respDeliver." + suffix, [this, idx] { deliverResp(idx); },
         EventPriority::kResponse);
     layer.freeEvent = std::make_unique<CallbackEvent>(
-        [this, idx] { finishRespLayer(idx); }, name() + ".respFree." + suffix,
+        *this, "respFree." + suffix, [this, idx] { finishRespLayer(idx); },
         EventPriority::kResponse);
     return *upPorts_.back();
 }
@@ -72,9 +72,9 @@ RequestPort& Xbar::addMemSidePort(const std::string& suffix, const RouteSpec& ro
     reqLayers_.emplace_back();
     Layer& layer = reqLayers_.back();
     layer.deliverEvent = std::make_unique<CallbackEvent>(
-        [this, idx] { deliverReq(idx); }, name() + ".reqDeliver." + suffix);
+        *this, "reqDeliver." + suffix, [this, idx] { deliverReq(idx); });
     layer.freeEvent = std::make_unique<CallbackEvent>(
-        [this, idx] { finishReqLayer(idx); }, name() + ".reqFree." + suffix);
+        *this, "reqFree." + suffix, [this, idx] { finishReqLayer(idx); });
     return *downPorts_.back();
 }
 

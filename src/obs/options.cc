@@ -45,7 +45,6 @@ ObsOptions ObsOptions::fromEnv(ObsOptions base) {
         base.profileEnabled = !v.empty() && v != "0";
     }
     overlayPositive("GEM5RTL_PROFILE_STRIDE", base.profileStride);
-    overlayPositive("GEM5RTL_TRACE_INTERVAL", base.counterIntervalTicks);
     if (const char* env = std::getenv("GEM5RTL_RECORD")) {
         const std::string_view v{env};
         if (v.empty() || v == "0") {

@@ -10,7 +10,6 @@
 //   GEM5RTL_TRACE=0          force tracing off
 //   GEM5RTL_PROFILE=1        per-SimObject host-time profile
 //   GEM5RTL_PROFILE_STRIDE=N time every Nth dispatch (default 1 = all)
-//   GEM5RTL_TRACE_INTERVAL=T counter sample interval in ticks
 //   GEM5RTL_RECORD=1         write <run>.g5rec flight recording here
 //   GEM5RTL_RECORD=<dir>     write it to <dir> (created by the caller)
 //   GEM5RTL_RECORD=0         force recording off
@@ -47,9 +46,6 @@ struct ObsOptions {
     /// time is scaled up from the sampled subset, cutting the two
     /// steady_clock reads per dispatch to two per stride.
     unsigned profileStride = 1;
-
-    /// Simulated-time interval between counter samples in the trace.
-    Tick counterIntervalTicks = 1'000'000;  // 1 us of simulated time.
 
     /// Write a flight recording (.g5rec sidecar) of the dispatch and packet
     /// streams; see obs/recording.hh for the format.

@@ -42,8 +42,8 @@ public:
     const std::string& path() const { return path_; }
 
     /// One event dispatch. @p labelHash is the precomputed digestOf(label)
-    /// (cached per Event* by ObsSession) so the hot path hashes 8 bytes,
-    /// not the label string.
+    /// (Event::nameDigest()) so the hot path hashes 8 bytes, not the label
+    /// string.
     void recordDispatch(Tick when, int slot, const std::string& label,
                         std::uint64_t labelHash);
 

@@ -32,38 +32,12 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "sim/digest.hh"
 #include "sim/ticks.hh"
 
 namespace g5r::obs {
-
-// --- FNV-1a 64 --------------------------------------------------------------
-
-inline constexpr std::uint64_t kDigestSeed = 14695981039346656037ULL;
-inline constexpr std::uint64_t kDigestPrime = 1099511628211ULL;
-
-inline std::uint64_t digestByte(std::uint64_t h, unsigned char b) {
-    return (h ^ b) * kDigestPrime;
-}
-
-inline std::uint64_t digestU64(std::uint64_t h, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-        h = digestByte(h, static_cast<unsigned char>(v & 0xff));
-        v >>= 8;
-    }
-    return h;
-}
-
-inline std::uint64_t digestStr(std::uint64_t h, std::string_view s) {
-    for (const char c : s) h = digestByte(h, static_cast<unsigned char>(c));
-    return h;
-}
-
-/// Stand-alone digest of a string (event labels are hashed once, then the
-/// 64-bit result is mixed per dispatch).
-inline std::uint64_t digestOf(std::string_view s) { return digestStr(kDigestSeed, s); }
 
 // --- in-memory model --------------------------------------------------------
 

@@ -85,7 +85,6 @@ std::unique_ptr<ObsSession> ObsSession::create(Simulation& sim, const ObsOptions
 
 ObsSession::ObsSession(Simulation& sim, const ObsOptions& opts, std::string_view runName)
     : sim_(sim),
-      counterInterval_(opts.counterIntervalTicks),
       stride_(opts.profileStride ? opts.profileStride : 1),
       t0_(Clock::now()) {
     if (opts.profileEnabled) profiler_ = std::make_unique<HostProfiler>(stride_);
@@ -129,8 +128,8 @@ ObsSession::ObsSession(Simulation& sim, const ObsOptions& opts, std::string_view
                                                       /*keepSpans=*/opts.traceEnabled);
     }
 
-    // Slot 0 catches events whose name matches no registered object;
-    // object slots are handed out lazily by slotFor().
+    // Slot 0 catches events that belong to no object; object slots are
+    // handed out lazily by slotFor().
     if (profiler_) profiler_->addSlot("(unattributed)");
     if (trace_) {
         trace_->processName(runName.empty() ? std::string_view{"g5r"} : runName);
@@ -223,29 +222,6 @@ int ObsSession::slotFor(const SimObject& obj) {
     return slot;
 }
 
-const ObsSession::Owner& ObsSession::resolve(const Event& ev) {
-    const auto it = ownerCache_.find(&ev);
-    if (it != ownerCache_.end()) return it->second;
-
-    // Longest object-name prefix of the event name (on a '.' boundary)
-    // wins, so "system.cpu0.l1d.respond" attributes to the L1D, not the
-    // core. The live object list is consulted (not a snapshot) so objects
-    // created after the session still resolve.
-    const std::string evName = ev.name();
-    const SimObject* best = nullptr;
-    std::size_t bestLen = 0;
-    for (const SimObject* obj : sim_.objects()) {
-        const std::string& objName = obj->name();
-        if (objName.size() < bestLen || evName.size() < objName.size()) continue;
-        if (evName.compare(0, objName.size(), objName) != 0) continue;
-        if (evName.size() > objName.size() && evName[objName.size()] != '.') continue;
-        best = obj;
-        bestLen = objName.size();
-    }
-    const int slot = best != nullptr ? slotFor(*best) : 0;
-    return ownerCache_.emplace(&ev, Owner{slot, evName, digestOf(evName)}).first->second;
-}
-
 void ObsSession::runBegin() { runStart_ = Clock::now(); }
 
 void ObsSession::runEnd() {
@@ -260,11 +236,10 @@ void ObsSession::runEnd() {
 
 void ObsSession::dispatchBegin(const Event& ev, Tick when) {
     curTick_ = when;
-    const Owner& owner = resolve(ev);
-    curSlot_ = owner.slot;
-    curLabel_ = &owner.label;
+    curSlot_ = ev.owner() != nullptr ? slotFor(*ev.owner()) : 0;
     if (profiler_) profiler_->countDispatch(curSlot_);
-    if (recorder_) recorder_->recordDispatch(when, curSlot_, owner.label, owner.labelHash);
+    if (recorder_) recorder_->recordDispatch(when, curSlot_, ev.name(), ev.nameDigest());
+    if (trace_) curLabel_ = ev.name();
     if (trace_ && !counters_.empty() && when >= nextCounterTick_) sampleCounters(when);
     if (metrics_) metrics_->maybeSample(when);
 
@@ -284,7 +259,7 @@ void ObsSession::dispatchEnd(Tick /*when*/) {
     const Clock::time_point end = Clock::now();
     const double seconds = std::chrono::duration<double>(end - dispatchStart_).count();
     if (trace_) {
-        trace_->completeEvent(curSlot_, *curLabel_, "dispatch", relUs(dispatchStart_),
+        trace_->completeEvent(curSlot_, curLabel_, "dispatch", relUs(dispatchStart_),
                               seconds * 1e6, curTick_);
     }
     if (profiler_) profiler_->addSample(curSlot_, seconds);
@@ -296,7 +271,7 @@ void ObsSession::sampleCounters(Tick when) {
     for (const stats::Stat* stat : counters_) {
         trace_->counterEvent(stat->name(), tsUs, stat->value());
     }
-    nextCounterTick_ = when + counterInterval_;
+    nextCounterTick_ = when + kCounterIntervalTicks;
 }
 
 void ObsSession::packetIssued(std::uint64_t id, std::uint64_t addr, unsigned size,

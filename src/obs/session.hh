@@ -14,14 +14,12 @@
 //     and packet streams to a .g5rec sidecar for `g5r diff`, plus the
 //     black-box ring panic() dumps.
 //
-// Event -> SimObject attribution works by name: event names in this
-// codebase are "<object>.<what>" ("system.membus.reqDeliver.dbbif"), so the
-// longest registered object name that prefixes the event name (on a '.'
-// boundary) owns the dispatch. The resolution is cached per Event*, making
-// it a hash lookup on the hot path. (Caveat: the cache keys on the event's
-// address, so a destroyed-then-reallocated event could inherit a stale
-// owner; events here are long-lived members, and a mis-attributed span is
-// an acceptable observability error.)
+// Event -> SimObject attribution is fixed at construction: every event
+// carries its owning SimObject (Event::owner()), so a dispatch lands on its
+// owner's track, profile slot and recorder slot through one pointer-keyed
+// slot lookup. An event that belongs to no object lands in slot 0,
+// "(unattributed)". Slots are handed out in first-dispatch order, so trace
+// tids and .g5rec obj records depend only on the dispatch stream.
 #pragma once
 
 #include <chrono>
@@ -87,7 +85,9 @@ public:
     ObsSession(const ObsSession&) = delete;
     ObsSession& operator=(const ObsSession&) = delete;
 
-    /// Sample @p stat as a trace counter every counterIntervalTicks.
+    static constexpr Tick kCounterIntervalTicks = 1'000'000;  // 1 us simulated.
+
+    /// Sample @p stat as a trace counter every kCounterIntervalTicks.
     void addCounter(const stats::Stat& stat);
 
     /// Flush and close the sinks; build the profile report. Idempotent,
@@ -133,15 +133,8 @@ public:
 private:
     using Clock = std::chrono::steady_clock;
 
-    struct Owner {
-        int slot;
-        std::string label;       ///< Span name: the event's own name.
-        std::uint64_t labelHash;  ///< digestOf(label), for the recorder.
-    };
-
     ObsSession(Simulation& sim, const ObsOptions& opts, std::string_view runName);
 
-    const Owner& resolve(const Event& ev);
     int slotFor(const SimObject& obj);
     double relUs(Clock::time_point tp) const {
         return std::chrono::duration<double, std::micro>(tp - t0_).count();
@@ -166,17 +159,17 @@ private:
     /// attributed. Trace tids equal slot indices.
     std::unordered_map<const SimObject*, int> slotByObject_;
     int nextSlot_ = 1;
-    std::unordered_map<const Event*, Owner> ownerCache_;
 
     std::vector<const stats::Stat*> counters_;
-    Tick counterInterval_;
     Tick nextCounterTick_ = 0;
 
     unsigned stride_;
     unsigned strideCount_ = 0;
     bool timedThis_ = false;
     int curSlot_ = 0;
-    const std::string* curLabel_ = nullptr;
+    /// The dispatching event's name, copied while tracing: a handler may
+    /// destroy its own event, so dispatchEnd() never reads the event.
+    std::string curLabel_;
     Tick curTick_ = 0;
     Clock::time_point t0_;
     Clock::time_point dispatchStart_;

@@ -13,8 +13,11 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <utility>
 
+#include "sim/digest.hh"
+#include "sim/sim_object.hh"
 #include "sim/ticks.hh"
 
 namespace g5r {
@@ -38,8 +41,13 @@ enum class EventPriority : int {
 /// Base class for all schedulable events.
 class Event {
 public:
-    Event() = default;
-    explicit Event(EventPriority prio) : priority_(static_cast<int>(prio)) {}
+    /// @p owner is the SimObject the event belongs to, or null for an event
+    /// of no object; @p name identifies the event in traces and recordings.
+    Event(const SimObject* owner, std::string name, EventPriority prio)
+        : owner_(owner),
+          name_(std::move(name)),
+          nameDigest_(digestOf(name_)),
+          priority_(static_cast<int>(prio)) {}
     Event(const Event&) = delete;
     Event& operator=(const Event&) = delete;
     virtual ~Event();
@@ -47,8 +55,10 @@ public:
     /// Invoked by the event queue when the event's tick is reached.
     virtual void process() = 0;
 
-    /// Human-readable identification used in debug traces.
-    virtual std::string name() const { return "anon-event"; }
+    const SimObject* owner() const { return owner_; }
+    const std::string& name() const { return name_; }
+    /// digestOf(name()), computed once so per-dispatch digests mix 8 bytes.
+    std::uint64_t nameDigest() const { return nameDigest_; }
 
     bool scheduled() const { return scheduled_; }
     Tick when() const { return when_; }
@@ -65,8 +75,11 @@ public:
 
 private:
     friend class EventQueue;
+    const SimObject* const owner_;
+    const std::string name_;
+    const std::uint64_t nameDigest_;
     Tick when_ = 0;
-    int priority_ = static_cast<int>(EventPriority::kClockTick);
+    int priority_;
     std::uint64_t orderKey_ = kNoOrderKey;
     std::size_t heapIndex_ = 0;     ///< Slot in the queue's heap while scheduled.
     bool scheduled_ = false;
@@ -78,16 +91,21 @@ private:
 /// the constructor and rescheduled every cycle.
 class CallbackEvent final : public Event {
 public:
+    /// An event of @p owner, named "<owner name>.<what>".
+    CallbackEvent(SimObject& owner, std::string_view what, std::function<void()> callback,
+                  EventPriority prio = EventPriority::kClockTick)
+        : Event(&owner, owner.name() + "." + std::string{what}, prio),
+          callback_(std::move(callback)) {}
+
+    /// An event that belongs to no SimObject.
     CallbackEvent(std::function<void()> callback, std::string eventName,
                   EventPriority prio = EventPriority::kClockTick)
-        : Event(prio), callback_(std::move(callback)), name_(std::move(eventName)) {}
+        : Event(nullptr, std::move(eventName), prio), callback_(std::move(callback)) {}
 
     void process() override { callback_(); }
-    std::string name() const override { return name_; }
 
 private:
     std::function<void()> callback_;
-    std::string name_;
 };
 
 }  // namespace g5r

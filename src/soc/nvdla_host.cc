@@ -8,7 +8,7 @@ NvdlaHost::NvdlaHost(Simulation& sim, std::string objName, const Params& params,
       params_(params),
       trace_(std::move(trace)),
       port_(name() + ".port", *this),
-      advanceEvent_([this] { advance(); }, name() + ".advance"),
+      advanceEvent_(*this, "advance", [this] { advance(); }),
       csbWrites_(stats_.scalar("csbWrites", "configuration writes issued")),
       statusPolls_(stats_.scalar("statusPolls", "status-register polls")) {
     // The job's root request ID. Allocated here — not at startup — so the

@@ -24,7 +24,7 @@ PmuObserver::PmuObserver(Simulation& sim, std::string objName, const Params& par
       params_(params),
       port_(name() + ".port", *this),
       gem5Probe_(std::move(gem5Probe)),
-      kickEvent_([this] { issueNext(); }, name() + ".kick"),
+      kickEvent_(*this, "kick", [this] { issueNext(); }),
       interrupts_(stats_.scalar("interrupts", "PMU interrupts observed")),
       readouts_(stats_.scalar("readouts", "complete counter readouts")) {
     scriptRequest_ = sim.allocRequestId();

@@ -509,6 +509,76 @@ TEST(RtlObjectGating, V1AbiModelsLoadButNeverGate) {
     EXPECT_GE(sim.findStat("v1_obj.ticks")->value(), 99.0);
 }
 
+namespace tablecheck {
+
+// Entry points that count calls, so a rejected table is seen to be rejected
+// before the model is ever created.
+int creates = 0;
+int dummyModel = 0;
+void* create(const char*) {
+    ++creates;
+    return &dummyModel;
+}
+void destroy(void*) {}
+void reset(void*) {}
+void tick(void*, const G5rRtlInput*, G5rRtlOutput*) {}
+
+/// Build an ApiRtlModel over @p api; the error it throws, or "" if it loads.
+std::string loadError(const G5rRtlModelApi& api) {
+    try {
+        ApiRtlModel model{&api, ""};
+    } catch (const std::runtime_error& e) {
+        return e.what();
+    }
+    return "";
+}
+
+}  // namespace tablecheck
+
+TEST(RtlModelApi, NullMandatoryMemberIsRejectedByName) {
+    using namespace tablecheck;
+    const G5rRtlModelApi good = {G5R_RTL_ABI_VERSION, "broken", create, destroy, reset, tick,
+                                 nullptr, nullptr};
+    ASSERT_EQ(loadError(good), "");  // trace_start/trace_stop stay optional.
+    const std::pair<const char*, G5rRtlModelApi> cases[] = {
+        {"name", {G5R_RTL_ABI_VERSION, nullptr, create, destroy, reset, tick, nullptr, nullptr}},
+        {"create", {G5R_RTL_ABI_VERSION, "broken", nullptr, destroy, reset, tick, nullptr,
+                    nullptr}},
+        {"destroy", {G5R_RTL_ABI_VERSION, "broken", create, nullptr, reset, tick, nullptr,
+                     nullptr}},
+        {"reset", {G5R_RTL_ABI_VERSION, "broken", create, destroy, nullptr, tick, nullptr,
+                   nullptr}},
+        {"tick", {G5R_RTL_ABI_VERSION, "broken", create, destroy, reset, nullptr, nullptr,
+                  nullptr}},
+    };
+    creates = 0;
+    for (const auto& [member, api] : cases) {
+        const std::string error = loadError(api);
+        EXPECT_NE(error.find(std::string{"null "} + member), std::string::npos)
+            << member << ": " << error;
+        if (api.name != nullptr) {
+            EXPECT_NE(error.find("'broken'"), std::string::npos) << error;
+        }
+    }
+    EXPECT_EQ(creates, 0);
+}
+
+TEST(RtlModelApi, AbiVersionOutsideTheAcceptedRangeIsRejected) {
+    using namespace tablecheck;
+    const std::string range = "v" + std::to_string(G5R_RTL_ABI_VERSION_MIN) + "..v" +
+                              std::to_string(G5R_RTL_ABI_VERSION);
+    creates = 0;
+    for (const std::uint32_t version : {G5R_RTL_ABI_VERSION_MIN - 1, G5R_RTL_ABI_VERSION + 1}) {
+        const G5rRtlModelApi api = {version, "skewed", create, destroy, reset, tick, nullptr,
+                                    nullptr};
+        const std::string error = loadError(api);
+        EXPECT_NE(error.find("'skewed'"), std::string::npos) << error;
+        EXPECT_NE(error.find("ABI v" + std::to_string(version)), std::string::npos) << error;
+        EXPECT_NE(error.find(range), std::string::npos) << error;
+    }
+    EXPECT_EQ(creates, 0);
+}
+
 namespace hintmodel {
 
 // A model that reports both hints on every tick (as stale bytes, for an ABI

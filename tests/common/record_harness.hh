@@ -24,7 +24,7 @@ public:
     SinkRequester(Simulation& sim, std::string objName)
         : SimObject(sim, std::move(objName)),
           port_(this->name() + ".port", *this),
-          issueEvent_([this] { issuePending(); }, this->name() + ".issue") {}
+          issueEvent_(*this, "issue", [this] { issuePending(); }) {}
 
     RequestPort& port() { return port_; }
 

@@ -18,7 +18,7 @@ public:
     TestRequester(Simulation& sim, std::string name)
         : SimObject(sim, std::move(name)),
           port_(this->name() + ".port", *this),
-          issueEvent_([this] { issuePending(); }, this->name() + ".issue") {}
+          issueEvent_(*this, "issue", [this] { issuePending(); }) {}
 
     RequestPort& port() { return port_; }
 

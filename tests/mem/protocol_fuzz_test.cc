@@ -35,7 +35,7 @@ public:
           port_(this->name() + ".port", *this),
           rng_(seed),
           conforming_(conforming),
-          drainEvent_([this] { drain(); }, this->name() + ".drain") {}
+          drainEvent_(*this, "drain", [this] { drain(); }) {}
 
     ResponsePort& port() { return port_; }
     std::uint64_t requestsServed() const { return served_; }

@@ -11,7 +11,7 @@
 #include "models/nvdla/nvdla_design.hh"
 #include "models/nvdla/standalone.hh"
 #include "models/nvdla/trace.hh"
-#include "obs/recording.hh"
+#include "sim/digest.hh"
 
 extern "C" const G5rRtlModelApi* g5r_nvdla_model_api();
 
@@ -227,13 +227,13 @@ TEST(NvdlaTrace, ShapesMatchTableOneScaleKnob) {
 /// FNV-1a over a trace's data segments (address, then bytes), its golden
 /// checksum and its register writes.
 std::uint64_t traceDigest(const NvdlaTrace& t) {
-    std::uint64_t h = obs::kDigestSeed;
+    std::uint64_t h = kDigestSeed;
     for (const auto& seg : t.segments) {
-        h = obs::digestU64(h, seg.addr);
-        for (const std::uint8_t b : seg.bytes) h = obs::digestByte(h, b);
+        h = digestU64(h, seg.addr);
+        for (const std::uint8_t b : seg.bytes) h = digestByte(h, b);
     }
-    h = obs::digestU64(h, t.expectedChecksum);
-    for (const auto& rw : t.regWrites) h = obs::digestU64(obs::digestU64(h, rw.addr), rw.data);
+    h = digestU64(h, t.expectedChecksum);
+    for (const auto& rw : t.regWrites) h = digestU64(digestU64(h, rw.addr), rw.data);
     return h;
 }
 

@@ -224,8 +224,8 @@ TEST(Metrics, OptionsComeFromEnvironment) {
 // malformed, zero or negative value exits 2 naming the variable instead of
 // silently keeping the default.
 TEST(ObsOptionsDeathTest, MalformedEnvNumbersExitTwo) {
-    constexpr const char* kVars[] = {"GEM5RTL_PROFILE_STRIDE", "GEM5RTL_TRACE_INTERVAL",
-                                     "GEM5RTL_RECORD_INTERVAL", "GEM5RTL_METRICS_INTERVAL"};
+    constexpr const char* kVars[] = {"GEM5RTL_PROFILE_STRIDE", "GEM5RTL_RECORD_INTERVAL",
+                                     "GEM5RTL_METRICS_INTERVAL"};
     for (const char* var : kVars) {
         for (const char* bad : {"8x", "abc", "0", "-5", " 8"}) {
             ::setenv(var, bad, 1);
@@ -236,7 +236,6 @@ TEST(ObsOptionsDeathTest, MalformedEnvNumbersExitTwo) {
     }
     const ObsOptions o = ObsOptions::fromEnv();
     EXPECT_EQ(o.profileStride, 8u);
-    EXPECT_EQ(o.counterIntervalTicks, 8u);
     EXPECT_EQ(o.recordIntervalTicks, 8u);
     EXPECT_EQ(o.metricsIntervalTicks, 8u);
     for (const char* var : kVars) ::unsetenv(var);

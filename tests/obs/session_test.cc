@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <deque>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -14,6 +15,7 @@
 
 #include "exp/json.hh"
 #include "mem/simple_mem.hh"
+#include "obs/recording.hh"
 #include "obs/session.hh"
 #include "sim/simulation.hh"
 
@@ -43,7 +45,7 @@ public:
     DroppingRequester(Simulation& sim, std::string name)
         : SimObject(sim, std::move(name)),
           port_(this->name() + ".port", *this),
-          issueEvent_([this] { issuePending(); }, this->name() + ".issue") {}
+          issueEvent_(*this, "issue", [this] { issuePending(); }) {}
 
     RequestPort& port() { return port_; }
 
@@ -159,9 +161,7 @@ TEST(ObsSession, PacketFlowsBeginAndEndInBalance) {
 }
 
 TEST(ObsSession, CountersSampleOnSimulatedTimeInterval) {
-    ObsOptions opts = traceOpts();
-    opts.counterIntervalTicks = 1'000;
-    Harness h{opts, "session_counters"};
+    Harness h{traceOpts(), "session_counters"};
     h.session->addCounter(*h.mem->statsGroup().find("numReads"));
     for (int i = 0; i < 8; ++i) h.req->issueAt(0, makeReadPacket(64 * i, 64));
     h.sim.run();
@@ -295,6 +295,124 @@ TEST(ObsSession, RequestTraceOnlySessionLeavesDispatchesUnobserved) {
     const auto session = ObsSession::create(sim, opts, "reqtrace_profiled");
     ASSERT_NE(session, nullptr);
     EXPECT_EQ(sim.eventQueue().observer(), session.get());
+}
+
+// A SimObject whose one event, named "<name>.<what>", fires @p times.
+class Pulser : public SimObject {
+public:
+    Pulser(Simulation& sim, std::string name, std::string_view what, int times)
+        : SimObject(sim, std::move(name)), left_(times), event_(*this, what, [this] {
+              if (--left_ > 0) queue_->schedule(event_, queue_->curTick() + 1'000);
+          }) {}
+
+    /// Start firing on @p queue, which may belong to another simulation.
+    void start(EventQueue& queue) {
+        queue_ = &queue;
+        queue.schedule(event_, 1'000);
+    }
+
+private:
+    int left_;
+    EventQueue* queue_ = nullptr;
+    CallbackEvent event_;
+};
+
+ObsOptions allSinksOpts(const std::string& recordPath) {
+    ObsOptions o = traceOpts();
+    o.profileEnabled = true;
+    o.recordEnabled = true;
+    o.recordPath = recordPath;
+    return o;
+}
+
+/// Dispatches per object name as the trace, the profile and the recorder
+/// each attribute them.
+struct Attribution {
+    std::map<std::string, std::uint64_t> trace;
+    std::map<std::string, std::uint64_t> profile;
+    std::map<std::string, std::uint64_t> recorder;
+};
+
+Attribution attributionOf(ObsSession& session, const std::string& recordPath) {
+    Attribution out;
+    const exp::Json doc = exp::Json::parse(slurp(session.trace()->path()));
+    std::map<std::int64_t, std::string> trackName;
+    for (const auto& ev : doc.at("traceEvents").items()) {
+        if (ev.at("ph").asString() == "M" && ev.at("name").asString() == "thread_name") {
+            trackName[ev.at("tid").asInt()] = ev.at("args").at("name").asString();
+        }
+    }
+    for (const auto& ev : doc.at("traceEvents").items()) {
+        if (ev.at("ph").asString() == "X") ++out.trace[trackName.at(ev.at("tid").asInt())];
+    }
+    for (const auto& e : session.profileReport()->entries) {
+        if (e.dispatches > 0) out.profile[e.name] = e.dispatches;
+    }
+    const Recording rec = Recording::load(recordPath);
+    for (const auto& iv : rec.intervals) {
+        for (const auto& obj : iv.objects) out.recorder[rec.objectName(obj.slot)] += obj.count;
+    }
+    return out;
+}
+
+// Attribution follows the event's constructor owner, not its name: an event
+// named exactly like another object, and an event whose owner is not one of
+// this simulation's objects, both land on their owner. An ownerless event
+// lands in "(unattributed)" even though its name extends an object's name.
+TEST(ObsSession, DispatchesAreAttributedToTheEventsOwner) {
+    const std::string recordPath = ::testing::TempDir() + "/session_owner.g5rec";
+    Simulation sim;
+    Pulser dev{sim, "system.dev", "pulse", 3};
+    SimObject decoy{sim, "system.dev.pulse"};
+    Simulation other;
+    Pulser foreign{other, "elsewhere", "tick", 2};
+    int looseFired = 0;
+    CallbackEvent loose{[&looseFired] { ++looseFired; }, "system.dev.loose"};
+    auto session = ObsSession::create(sim, allSinksOpts(recordPath), "session_owner");
+    dev.start(sim.eventQueue());
+    foreign.start(sim.eventQueue());
+    sim.eventQueue().schedule(loose, 500);
+    sim.run();
+    session->finish();
+    ASSERT_EQ(looseFired, 1);
+
+    const Attribution got = attributionOf(*session, recordPath);
+    const std::map<std::string, std::uint64_t> want = {
+        {"system.dev", 3}, {"elsewhere", 2}, {"(unattributed)", 1}};
+    EXPECT_EQ(got.trace, want);
+    EXPECT_EQ(got.profile, want);
+    EXPECT_EQ(got.recorder, want);
+    std::remove(session->trace()->path().c_str());
+    std::remove(recordPath.c_str());
+}
+
+// dispatchEnd() must not read the event: a handler may destroy its own
+// event while every sink is attached (the ASan job pins the contract), and
+// the span still carries the dead event's name.
+TEST(ObsSession, HandlerMayDestroyItsOwnEvent) {
+    const std::string recordPath = ::testing::TempDir() + "/session_doomed.g5rec";
+    Simulation sim;
+    SimObject owner{sim, "system.owner"};
+    std::unique_ptr<CallbackEvent> doomed;
+    doomed = std::make_unique<CallbackEvent>(
+        owner, "a-label-longer-than-any-small-string-buffer", [&doomed] { doomed.reset(); });
+    auto session = ObsSession::create(sim, allSinksOpts(recordPath), "session_doomed");
+    sim.eventQueue().schedule(*doomed, 1'000);
+    sim.run();
+    session->finish();
+    EXPECT_EQ(doomed, nullptr);
+
+    const exp::Json doc = exp::Json::parse(slurp(session->trace()->path()));
+    std::vector<std::string> spans;
+    for (const auto& ev : doc.at("traceEvents").items()) {
+        if (ev.at("ph").asString() == "X") spans.push_back(ev.at("name").asString());
+    }
+    EXPECT_EQ(spans, std::vector<std::string>{
+                         "system.owner.a-label-longer-than-any-small-string-buffer"});
+    EXPECT_EQ(attributionOf(*session, recordPath).recorder,
+              (std::map<std::string, std::uint64_t>{{"system.owner", 1}}));
+    std::remove(session->trace()->path().c_str());
+    std::remove(recordPath.c_str());
 }
 
 // Counts the packet hooks the port layer delivers.
