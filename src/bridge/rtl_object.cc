@@ -237,7 +237,8 @@ void RtlObject::tick() {
     in.mem_req_credits = std::min<unsigned>(creditsLeft, G5R_RTL_MAX_MEM_REQ);
     if (creditsLeft == 0) ++statZeroCreditTicks_;
 
-    if (eventBus_ != nullptr) {
+    // An empty bus holds all zeros, which `in{}` already wrote.
+    if (eventBus_ != nullptr && eventBus_->hasPending()) {
         const auto pulses = eventBus_->drain();
         std::memcpy(in.events, pulses.data(), sizeof(in.events));
     }

@@ -7,6 +7,7 @@
 
 #include "rtl/analysis/cones.hh"
 #include "rtl/analysis/const_prop.hh"
+#include "sim/logging.hh"
 
 namespace g5r::rtl::codegen {
 namespace {
@@ -318,8 +319,7 @@ std::string emitCompiledModel(const Netlist& netlist, const CodegenOptions& opts
 
     // Resolved reference to net @p x from inside block @p blk.
     const auto ref = [&](int x, int blk) {
-        return (isLocal[x] && blockOf[x] == blk) ? "n" + std::to_string(x)
-                                                 : slot(x);
+        return (isLocal[x] && blockOf[x] == blk) ? strCat('n', x) : slot(x);
     };
 
     struct Stmt {
@@ -347,7 +347,7 @@ std::string emitCompiledModel(const Netlist& netlist, const CodegenOptions& opts
                 std::string expr;
                 bool boolExpr = false;
                 switch (node.op) {
-                case NetOp::kNot: expr = "~" + ra(); break;
+                case NetOp::kNot: expr = strCat('~', ra()); break;
                 case NetOp::kAnd: expr = ra() + " & " + rbx(); break;
                 case NetOp::kOr: expr = ra() + " | " + rbx(); break;
                 case NetOp::kXor: expr = ra() + " ^ " + rbx(); break;

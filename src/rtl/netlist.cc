@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "lint/netlist_lint.hh"
+#include "sim/logging.hh"
 #include "sim/parse.hh"
 
 namespace g5r::rtl {
@@ -194,7 +195,7 @@ std::string bitonicSorterNetlist(unsigned n, unsigned width) {
                                std::vector<std::string>& next) {
         const std::string a = cur[lo];
         const std::string b = cur[hi];
-        const std::string tag = "s" + std::to_string(stage) + "_" + std::to_string(lo);
+        const std::string tag = strCat('s', stage, '_', lo);
         // Signed compare: lane data are signed words (the model tests sort
         // negative values), sign-extended from the lane width.
         os << "lt " << tag << "_cmp " << a << ' ' << b << "\n";

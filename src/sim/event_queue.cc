@@ -1,5 +1,6 @@
 #include "sim/event_queue.hh"
 
+#include "sim/event.hh"
 #include "sim/logging.hh"
 #include "sim/observer.hh"
 
@@ -9,47 +10,44 @@ Event::~Event() {
     if (scheduled_ && queue_ != nullptr) queue_->deschedule(*this);
 }
 
-bool EventQueue::laterThan(const Entry& a, const Entry& b) {
-    if (a.when != b.when) return a.when > b.when;
-    if (a.priority != b.priority) return a.priority > b.priority;
-    return a.rank > b.rank;
+void EventQueue::place(std::size_t idx, const Entry& entry) {
+    heap_[idx] = entry;
+    entry.event->heapIndex_ = idx;
 }
 
-void EventQueue::siftUp(std::size_t idx) {
-    const Entry moving = heap_[idx];
-    while (idx > 0) {
-        const std::size_t parent = (idx - 1) / 2;
+void EventQueue::fillHoleUp(std::size_t hole, const Entry& moving) {
+    while (hole > 0) {
+        const std::size_t parent = (hole - 1) / 2;
         if (!laterThan(heap_[parent], moving)) break;
-        place(idx, heap_[parent]);
-        idx = parent;
+        place(hole, heap_[parent]);
+        hole = parent;
     }
-    place(idx, moving);
+    place(hole, moving);
 }
 
-void EventQueue::siftDown(std::size_t idx) {
-    const Entry moving = heap_[idx];
+void EventQueue::fillHoleDown(std::size_t hole, const Entry& moving) {
     const std::size_t n = heap_.size();
     while (true) {
-        const std::size_t left = 2 * idx + 1;
+        const std::size_t left = 2 * hole + 1;
         if (left >= n) break;
         const std::size_t right = left + 1;
         const std::size_t child =
             right < n && laterThan(heap_[left], heap_[right]) ? right : left;
         if (!laterThan(moving, heap_[child])) break;
-        place(idx, heap_[child]);
-        idx = child;
+        place(hole, heap_[child]);
+        hole = child;
     }
-    place(idx, moving);
+    place(hole, moving);
 }
 
 void EventQueue::removeAt(std::size_t idx) {
-    heap_[idx] = heap_.back();
+    const Entry last = heap_.back();
     heap_.pop_back();
     if (idx == heap_.size()) return;  // It was the last slot.
-    if (idx > 0 && laterThan(heap_[(idx - 1) / 2], heap_[idx])) {
-        siftUp(idx);
+    if (idx > 0 && laterThan(heap_[(idx - 1) / 2], last)) {
+        fillHoleUp(idx, last);
     } else {
-        siftDown(idx);
+        fillHoleDown(idx, last);
     }
 }
 
@@ -61,8 +59,9 @@ void EventQueue::schedule(Event& ev, Tick when) {
     ev.queue_ = this;
     const std::uint64_t rank =
         ev.orderKey_ != Event::kNoOrderKey ? ev.orderKey_ : nextSequence_++;
-    heap_.push_back(Entry{when, ev.priority_, rank, &ev});
-    siftUp(heap_.size() - 1);
+    const std::size_t hole = heap_.size();
+    heap_.emplace_back();
+    fillHoleUp(hole, Entry{when, ev.priority_, rank, &ev});
 }
 
 void EventQueue::deschedule(Event& ev) {

@@ -1,18 +1,27 @@
 // The central event queue: an indexed binary heap over (tick, priority,
-// rank), where rank is the insertion sequence or the event's order key. Each scheduled event knows its heap slot, so descheduling (and
+// rank), where rank is the insertion sequence or the event's order key.
+// Each scheduled event knows its heap slot, so descheduling (and
 // destroying a scheduled event) removes its entry at once in O(log n): no
 // heap entry ever outlives its event.
+//
+// Insertions and removals sift a hole, not an entry: the entry that will
+// fill it travels in registers, every entry moved on the way is written once
+// and tells its event its new slot once.
+//
+// This header stays free of sim/event.hh so that sim/sim_object.hh can
+// inline curTick() over it; include sim/event.hh to schedule events.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
 
-#include "sim/event.hh"
 #include "sim/ticks.hh"
 
 namespace g5r {
 
+class Event;
 class SimObserver;
 
 class EventQueue {
@@ -89,27 +98,36 @@ private:
         Event* event;
     };
 
-    static bool laterThan(const Entry& a, const Entry& b);
-    /// Write @p entry into slot @p idx and tell its event where it lives.
-    void place(std::size_t idx, const Entry& entry) {
-        heap_[idx] = entry;
-        entry.event->heapIndex_ = idx;
+    /// True when @p a dispatches after @p b.
+    static bool laterThan(const Entry& a, const Entry& b) {
+        if (a.when != b.when) return a.when > b.when;
+        if (a.priority != b.priority) return a.priority > b.priority;
+        return a.rank > b.rank;
     }
-    void siftUp(std::size_t idx);
-    void siftDown(std::size_t idx);
+    /// Write @p entry into slot @p idx and tell its event where it lives.
+    void place(std::size_t idx, const Entry& entry);
+    /// Move the empty slot @p hole towards the root past every entry that
+    /// dispatches after @p moving, then fill it with @p moving.
+    void fillHoleUp(std::size_t hole, const Entry& moving);
+    /// Move the empty slot @p hole towards the leaves past every entry that
+    /// dispatches before @p moving, then fill it with @p moving.
+    void fillHoleDown(std::size_t hole, const Entry& moving);
+    /// Remove the entry in slot @p idx, refilling it with the last entry.
     void removeAt(std::size_t idx);
 
     /// Sentinel for passedPriority_: the whole tick is behind us.
     static constexpr int kAllPriorities = std::numeric_limits<int>::max();
+    /// Initial passedPriority_: below every priority, kStatDump's included.
+    static constexpr int kNoPriority = std::numeric_limits<int>::min();
 
     std::vector<Entry> heap_;
     SimObserver* observer_ = nullptr;
     Tick curTick_ = 0;
-    /// Highest priority dispatched at curTick_ so far (-1: none yet).
+    /// Highest priority dispatched at curTick_ so far (kNoPriority: none yet).
     /// Within one tick this only grows via dispatch order, except when an
     /// embedder schedules a fresh low-priority event at the current tick —
     /// the high-water mark keeps recording how far the tick had advanced.
-    int passedPriority_ = -1;
+    int passedPriority_ = kNoPriority;
     /// Highest rank dispatched at (curTick_, passedPriority_).
     std::uint64_t passedRank_ = 0;
     std::uint64_t nextSequence_ = 0;

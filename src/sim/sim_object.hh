@@ -9,12 +9,12 @@
 
 #include <string>
 
+#include "sim/event_queue.hh"
 #include "sim/stats.hh"
 #include "sim/ticks.hh"
 
 namespace g5r {
 
-class EventQueue;
 class Simulation;
 
 class SimObject {
@@ -39,8 +39,8 @@ public:
     virtual void settleStats() {}
 
     Simulation& simulation() { return sim_; }
-    EventQueue& eventQueue();
-    Tick curTick() const;
+    EventQueue& eventQueue() { return eventQueue_; }
+    Tick curTick() const { return eventQueue_.curTick(); }
 
     stats::Group& statsGroup() { return stats_; }
     const stats::Group& statsGroup() const { return stats_; }
@@ -50,6 +50,8 @@ protected:
     stats::Group stats_;
 
 private:
+    /// sim_.eventQueue(), cached: every handler reads the clock through it.
+    EventQueue& eventQueue_;
     std::string name_;
 };
 

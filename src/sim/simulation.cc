@@ -11,13 +11,9 @@
 namespace g5r {
 
 SimObject::SimObject(Simulation& sim, std::string name)
-    : sim_(sim), stats_(name), name_(std::move(name)) {
+    : sim_(sim), stats_(name), eventQueue_(sim.eventQueue()), name_(std::move(name)) {
     sim.registerObject(*this);
 }
-
-EventQueue& SimObject::eventQueue() { return sim_.eventQueue(); }
-
-Tick SimObject::curTick() const { return sim_.eventQueue().curTick(); }
 
 void Simulation::exitSimLoop(std::string reason) {
     exitRequested_ = true;

@@ -8,6 +8,7 @@
 
 #include "lint/netlist_lint.hh"
 #include "rtl/netlist.hh"
+#include "sim/logging.hh"
 
 namespace g5r::lint {
 namespace {
@@ -372,7 +373,7 @@ TEST(NetlistLint, DeepLogicFiresPastTheConfiguredBudget) {
     std::string prev = "a";
     for (int i = 0; i < 6; ++i) {
         src << "not n" << i << ' ' << prev << "\n";
-        prev = "n" + std::to_string(i);
+        prev = strCat('n', i);
     }
     src << "output o " << prev << "\n";
 

@@ -21,6 +21,7 @@
 #include "obs/options.hh"
 #include "obs/reqtrace.hh"
 #include "obs/session.hh"
+#include "sim/logging.hh"
 #include "sim/simulation.hh"
 
 namespace g5r::obs {
@@ -263,7 +264,7 @@ std::vector<ReqRecord> randomForest(std::mt19937_64& rng) {
     for (std::size_t i = 0; i < records.size(); ++i) {
         ReqRecord& rec = records[i];
         rec.id = ids[i];
-        rec.kind = "k" + std::to_string(i);
+        rec.kind = strCat('k', i);
         if (i == 1 || i == 2) {
             rec.parent = records[i - 1].id;
         } else if (i > 0 && uniform(0, 9) < 7) {

@@ -2,10 +2,15 @@
 // simulation driver's exit conditions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <new>
+#include <optional>
+#include <random>
+#include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -243,6 +248,243 @@ TEST(EventQueue, HasPassedComparesOrderKeysWithinAPriority) {
     EXPECT_TRUE(q.hasPassed(99, rtl + 50, 0));
     q.advanceTo(100);
     EXPECT_TRUE(q.hasPassed(100, static_cast<int>(EventPriority::kSimExit), 7));
+}
+
+// Differential check of the heap against a brute-force reference: a sorted
+// std::set of (when, priority, rank, slot). Seeded random streams schedule,
+// deschedule, reschedule, destroy and advance; handlers schedule more work
+// at their own tick and touch other events. Every dispatch must be the
+// reference's minimum, and hasPassed() must agree with a reference that
+// keeps the largest (priority, rank) dispatched at the current tick.
+class RefQueueDriver {
+public:
+    explicit RefQueueDriver(std::uint64_t seed) : rng_(seed) {
+        for (std::size_t s = 0; s < kSlots; ++s) recreate(s);
+    }
+
+    void run(int steps) {
+        for (int i = 0; i < steps && !::testing::Test::HasFailure(); ++i) {
+            const unsigned r = pick(100);
+            if (r < 35) {
+                scheduleIdle(randomDelay());
+            } else if (r < 42) {
+                descheduleAny();
+            } else if (r < 50) {
+                rescheduleAny(randomDelay());
+            } else if (r < 55) {
+                destroyAny(kNone);
+            } else if (r < 58) {
+                advance();
+            } else {
+                dispatch();
+            }
+            checkAgreement();
+        }
+        while (!q_.empty() && !::testing::Test::HasFailure()) dispatch();
+        EXPECT_TRUE(ref_.empty());
+        EXPECT_GT(dispatched_, 0u);
+    }
+
+private:
+    static constexpr std::size_t kSlots = 24;
+    static constexpr std::size_t kNone = kSlots;
+    using Key = std::tuple<Tick, int, std::uint64_t, std::size_t>;
+
+    unsigned pick(unsigned n) { return static_cast<unsigned>(rng_() % n); }
+
+    Tick randomDelay() {
+        const unsigned r = pick(100);
+        if (r < 30) return 0;
+        if (r < 60) return 1000 * pick(3);
+        if (r < 90) return pick(5000);
+        return 5000 + pick(100'000);
+    }
+
+    void recreate(std::size_t s) {
+        static constexpr EventPriority kUnkeyed[] = {
+            EventPriority::kStatDump, EventPriority::kClockTick,
+            EventPriority::kResponse, EventPriority::kSimExit};
+        const bool keyed = pick(4) == 0;
+        const EventPriority prio = keyed ? EventPriority::kRtlTick : kUnkeyed[pick(4)];
+        events_[s] = std::make_unique<CallbackEvent>([this, s] { fired(s); },
+                                                     "slot" + std::to_string(s), prio);
+        // Keys are distinct (and never kNoOrderKey): equal keys at one
+        // (tick, priority) would leave the order to the heap.
+        if (keyed) events_[s]->setOrderKey((rng_() >> 8) * kSlots + s);
+        refOf_[s].reset();
+    }
+
+    std::optional<std::size_t> randomSlot(bool scheduled, std::size_t except) {
+        const std::size_t start = pick(kSlots);
+        for (std::size_t i = 0; i < kSlots; ++i) {
+            const std::size_t s = (start + i) % kSlots;
+            if (s != except && refOf_[s].has_value() == scheduled) return s;
+        }
+        return std::nullopt;
+    }
+
+    // Schedule slot @p s at @p when (through reschedule() if @p viaReschedule)
+    // and enter it in the reference.
+    void add(std::size_t s, Tick when, bool viaReschedule = false) {
+        Event& ev = *events_[s];
+        if (viaReschedule) {
+            q_.reschedule(ev, when);
+        } else {
+            q_.schedule(ev, when);
+        }
+        const std::uint64_t rank =
+            ev.orderKey() != Event::kNoOrderKey ? ev.orderKey() : sequence_++;
+        refOf_[s] = Key{when, ev.priority(), rank, s};
+        ref_.insert(*refOf_[s]);
+    }
+
+    void remove(std::size_t s) {
+        ref_.erase(*refOf_[s]);
+        refOf_[s].reset();
+    }
+
+    void scheduleIdle(Tick delay, std::size_t except = kNone) {
+        if (const auto s = randomSlot(false, except)) add(*s, q_.curTick() + delay);
+    }
+
+    void descheduleAny(std::size_t except = kNone) {
+        if (const auto s = randomSlot(true, except)) {
+            q_.deschedule(*events_[*s]);
+            remove(*s);
+        }
+    }
+
+    void rescheduleAny(Tick delay, std::size_t except = kNone) {
+        const auto s = randomSlot(pick(2) == 0, except);
+        if (!s) return;
+        if (refOf_[*s]) remove(*s);
+        add(*s, q_.curTick() + delay, true);
+    }
+
+    // Destroying a scheduled event must drop its entry; the slot gets a
+    // fresh event (maybe keyed, maybe at the dead one's address).
+    void destroyAny(std::size_t except) {
+        std::size_t s = pick(kSlots);
+        if (s == except) return;
+        if (refOf_[s]) remove(s);
+        events_[s].reset();
+        recreate(s);
+    }
+
+    void advance() {
+        Tick to = q_.curTick();
+        if (q_.empty()) {
+            to += pick(3000);
+        } else if (const Tick next = q_.nextTick(); next > to) {
+            to += pick(static_cast<unsigned>(std::min<Tick>(next - to, 3000)));
+        }
+        if (pick(8) == 0 && q_.curTick() > 0) {
+            q_.advanceTo(q_.curTick() - 1);  // The past: a no-op.
+            return;
+        }
+        q_.advanceTo(to);
+        curTick_ = to;
+        allPassed_ = true;
+        maxPassed_.reset();
+    }
+
+    void dispatch() {
+        if (ref_.empty()) {
+            EXPECT_TRUE(q_.empty());
+            return;
+        }
+        expected_ = *ref_.begin();
+        remove(std::get<3>(expected_));
+        const auto [when, prio, rank, slot] = expected_;
+        if (when > curTick_) {
+            curTick_ = when;
+            allPassed_ = false;
+            maxPassed_.reset();
+        }
+        if (!allPassed_ && (!maxPassed_ || std::pair{prio, rank} > *maxPassed_)) {
+            maxPassed_ = std::pair{prio, rank};
+        }
+        const std::uint64_t before = q_.numProcessed();
+        firedSlot_ = kNone;
+        q_.serviceOne();
+        EXPECT_EQ(q_.numProcessed(), before + 1);
+        EXPECT_EQ(firedSlot_, slot) << "dispatch " << dispatched_;
+        ++dispatched_;
+        checkHasPassed();
+    }
+
+    void fired(std::size_t s) {
+        firedSlot_ = s;
+        EXPECT_EQ(q_.curTick(), std::get<0>(expected_));
+        EXPECT_FALSE(events_[s]->scheduled());
+        checkHasPassed();
+        // Handler work: same-tick follow-ups and edits to other events.
+        for (unsigned n = pick(3); n > 0; --n) {
+            switch (pick(5)) {
+                case 0: scheduleIdle(0, s); break;
+                case 1: scheduleIdle(randomDelay(), s); break;
+                case 2: descheduleAny(s); break;
+                case 3: rescheduleAny(pick(2) == 0 ? 0 : randomDelay(), s); break;
+                default: destroyAny(s); break;
+            }
+        }
+        if (pick(6) == 0) add(s, q_.curTick() + randomDelay());  // Reschedule itself.
+    }
+
+    bool refHasPassed(Tick when, int prio, std::uint64_t rank) const {
+        if (when != curTick_) return when < curTick_;
+        return allPassed_ || (maxPassed_ && std::pair{prio, rank} <= *maxPassed_);
+    }
+
+    void checkHasPassed() {
+        const std::uint64_t last = std::get<2>(expected_);
+        for (const Tick when : {curTick_ == 0 ? 0 : curTick_ - 1, curTick_, curTick_ + 1}) {
+            for (const int prio : {-100, -1, 0, 10, 20, 21, 100}) {
+                for (const std::uint64_t rank :
+                     {std::uint64_t{0}, last == 0 ? 0 : last - 1, last, last + 1,
+                      Event::kNoOrderKey - 1}) {
+                    ASSERT_EQ(q_.hasPassed(when, prio, rank), refHasPassed(when, prio, rank))
+                        << "hasPassed(" << when << ", " << prio << ", " << rank
+                        << ") at tick " << curTick_;
+                }
+            }
+        }
+    }
+
+    void checkAgreement() {
+        ASSERT_EQ(q_.curTick(), curTick_);
+        ASSERT_EQ(q_.numPending(), ref_.size());
+        if (!ref_.empty()) {
+            ASSERT_EQ(q_.nextTick(), std::get<0>(*ref_.begin()));
+        }
+        for (std::size_t s = 0; s < kSlots; ++s) {
+            ASSERT_EQ(events_[s]->scheduled(), refOf_[s].has_value()) << "slot " << s;
+            if (refOf_[s]) {
+                ASSERT_EQ(events_[s]->when(), std::get<0>(*refOf_[s]));
+            }
+        }
+    }
+
+    std::mt19937_64 rng_;
+    EventQueue q_;
+    std::unique_ptr<CallbackEvent> events_[kSlots];
+    std::optional<Key> refOf_[kSlots];
+    std::set<Key> ref_;
+    std::uint64_t sequence_ = 0;
+    Tick curTick_ = 0;
+    bool allPassed_ = false;
+    std::optional<std::pair<int, std::uint64_t>> maxPassed_;
+    Key expected_{};
+    std::size_t firedSlot_ = kNone;
+    std::uint64_t dispatched_ = 0;
+};
+
+TEST(EventQueue, MatchesReferenceOrderOnRandomOps) {
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        RefQueueDriver{seed}.run(2000);
+        if (HasFailure()) break;
+    }
 }
 
 TEST(Simulation, RunsUntilQueueEmpty) {

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "exp/json.hh"
+#include "sim/logging.hh"
 #include "sim/sim_object.hh"
 #include "sim/simulation.hh"
 #include "sim/stats.hh"
@@ -119,10 +120,10 @@ TEST(Stats, FindScalesAsIndexNotScan) {
     // each one up exercises index consistency across growth.
     stats::Group g{"big"};
     for (int i = 0; i < 200; ++i) {
-        g.scalar("s" + std::to_string(i), "x").inc(i);
+        g.scalar(strCat('s', i), "x").inc(i);
     }
     for (int i = 0; i < 200; ++i) {
-        const stats::Stat* s = g.find("s" + std::to_string(i));
+        const stats::Stat* s = g.find(strCat('s', i));
         ASSERT_NE(s, nullptr) << i;
         EXPECT_DOUBLE_EQ(s->value(), i);
     }

@@ -11,6 +11,7 @@
 #include <tuple>
 
 #include "obs/diff.hh"
+#include "sim/logging.hh"
 #include "soc/experiments.hh"
 
 namespace g5r {
@@ -65,9 +66,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(MemPath::kDirect, MemPath::kDmaSpm),
                        ::testing::ValuesIn(experiments::inflightSweep())),
     [](const ::testing::TestParamInfo<Column>& param) {
-        return "n" + std::to_string(std::get<0>(param.param)) + "_" +
-               memPathName(std::get<1>(param.param)) + "_q" +
-               std::to_string(std::get<2>(param.param));
+        return strCat('n', std::get<0>(param.param), '_', memPathName(std::get<1>(param.param)),
+                      "_q", std::get<2>(param.param));
     });
 
 }  // namespace
