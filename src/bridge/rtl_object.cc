@@ -48,7 +48,11 @@ RtlObject::RtlObject(Simulation& sim, std::string objName, const RtlObjectParams
     // in it and each reschedules itself from its own tick); the key makes a
     // tick rescheduled by wake() take the same slot instead of the one its
     // fresh sequence number would give it, after peers that never stopped.
-    tickEvent_.setOrderKey(sim.objects().size());
+    // The same index names the bridge as the requestor of its packets.
+    const std::size_t index = sim.objects().size();
+    tickEvent_.setOrderKey(index);
+    simAssert(index < kInvalidRequestor, "too many objects for a requestor id");
+    requestorId_ = static_cast<RequestorId>(index);
     for (unsigned i = 0; i < kNumCpuSidePorts; ++i) {
         cpuPorts_[i] = std::make_unique<CpuSidePort>(
             name() + ".cpu_side" + std::to_string(i), *this, i);
@@ -132,16 +136,14 @@ void RtlObject::sendDevRetries() {
 
 bool RtlObject::recvMemResp(PacketPtr& pkt) {
     wake();
-    const auto it = pktToModelId_.find(pkt->id());
-    simAssert(it != pktToModelId_.end(), "memory response with no model mapping");
+    simAssert(pkt->requestor() == requestorId_, "memory response the bridge did not issue");
     ModelResp resp;
-    resp.id = it->second;
+    resp.id = pkt->senderTag();
     resp.data.fill(0);
     if (pkt->cmd() == MemCmd::kReadResp) {
         std::memcpy(resp.data.data(), pkt->constData(),
                     std::min<std::size_t>(pkt->size(), resp.data.size()));
     }
-    pktToModelId_.erase(it);
     modelRespQueue_.push_back(resp);
     simAssert(outstanding_ > 0, "response underflow");
     --outstanding_;
@@ -186,13 +188,14 @@ void RtlObject::issueModelRequests(const G5rRtlOutput& out) {
         }
         pkt->setIssueTick(curTick());
         pkt->setReqId(curReq_);
+        pkt->setRequestor(requestorId_);
+        pkt->setSenderTag(req.id);
 
         // Route port-1 traffic to port 0 when SRAMIF is not separately bound
         // (the paper's configuration sends both interfaces to main memory).
         unsigned portIdx = req.port < kNumMemSidePorts ? req.port : 0;
         if (!memPorts_[portIdx]->isBound()) portIdx = 0;
 
-        pktToModelId_[pkt->id()] = req.id;
         ++outstanding_;
         memSendQueues_[portIdx].push_back(std::move(pkt));
     }

@@ -22,7 +22,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 
 #include "bridge/rtl_model.hh"
 #include "bridge/tlb.hh"
@@ -181,10 +180,12 @@ private:
         std::array<std::uint8_t, G5R_RTL_MEM_DATA_BYTES> data;
     };
     std::deque<ModelResp> modelRespQueue_;
-    std::unordered_map<std::uint64_t, std::uint64_t> pktToModelId_;
     std::array<std::deque<PacketPtr>, kNumMemSidePorts> memSendQueues_;
     std::array<bool, kNumMemSidePorts> memBlocked_{};
     unsigned outstanding_ = 0;
+    /// Stamped on every model memory packet, whose sender tag carries the
+    /// model's request id; a response must come back with it.
+    RequestorId requestorId_ = kInvalidRequestor;
 
     bool irqLevel_ = false;
     bool done_ = false;

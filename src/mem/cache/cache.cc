@@ -131,7 +131,7 @@ bool Cache::handleMiss(PacketPtr& pkt) {
     mshr.targets.push_back(std::move(pkt));
 
     // Fetch the whole line (write-allocate for write misses).
-    auto fetch = std::make_unique<Packet>(MemCmd::kReadReq, blockAddr, params_.lineSize);
+    auto fetch = Packet::make(MemCmd::kReadReq, blockAddr, params_.lineSize);
     fetch->setRequestor(requestor);
     pushRequest(std::move(fetch), clockEdge(params_.lookupLatency));
 
@@ -151,7 +151,7 @@ void Cache::maybePrefetch(Addr missAddr, RequestorId requestor) {
         mshr.blockAddr = blockAddr;
         mshr.prefetchOnly = true;
 
-        auto fetch = std::make_unique<Packet>(MemCmd::kPrefetchReq, blockAddr, params_.lineSize);
+        auto fetch = Packet::make(MemCmd::kPrefetchReq, blockAddr, params_.lineSize);
         fetch->setRequestor(requestor);
         pushRequest(std::move(fetch), clockEdge(params_.lookupLatency));
         ++prefetchesIssued_;
@@ -219,7 +219,7 @@ Cache::LineIdx Cache::insertBlock(Addr blockAddr, const std::uint8_t* data) {
     Tag& slot = tags_[victim];
     if (slot.valid && slot.dirty) {
         ++writebacks_;
-        auto wb = std::make_unique<Packet>(MemCmd::kWritebackDirty, slot.tag, params_.lineSize);
+        auto wb = Packet::make(MemCmd::kWritebackDirty, slot.tag, params_.lineSize);
         wb->setData(lineData(victim));
         pushRequest(std::move(wb), clockEdge(1));
     }

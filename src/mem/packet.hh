@@ -1,13 +1,23 @@
 // Memory packets: the unit of communication between all SoC components.
 //
-// Follows gem5's request/response packet model. A requester builds a Packet,
-// sends it through a timing port, and eventually receives the *same* packet
-// back, converted into a response carrying data. Ownership moves with the
-// packet: whoever holds the unique_ptr owns it; the port protocol only moves
-// the pointer on *accepted* sends, so a rejected send leaves the packet with
-// the sender (see port.hh).
+// Follows gem5's request/response packet model. A requester builds a Packet
+// with Packet::make, sends it through a timing port, and eventually receives
+// the *same* packet back, converted into a response carrying data. Ownership
+// moves with the packet: whoever holds the PacketPtr owns it; the port
+// protocol only moves the pointer on *accepted* sends, so a rejected send
+// leaves the packet with the sender (see port.hh). Releasing a PacketPtr
+// returns the packet, payload storage included, to the releasing thread's
+// free list, and the next Packet::make on that thread reuses it.
+//
+// Like gem5's SenderState, a packet carries the state its round trip needs,
+// so no component keeps a side table keyed by packet id:
+//   * a route stack of crossbar hops (pushed by a crossbar as it accepts a
+//     request that needs a response, popped as it accepts the response);
+//   * one sender tag, owned by whoever made the packet (the RTL bridge keeps
+//     the model's request id there).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -38,19 +48,36 @@ enum class MemCmd : std::uint8_t {
 
 const char* memCmdName(MemCmd cmd);
 
+class Packet;
+
+/// PacketPtr's deleter: reports a flow-tracked packet's completion to the
+/// thread's observer, then parks the packet on the thread's free list.
+struct PacketRecycler {
+    void operator()(Packet* pkt) const noexcept;
+};
+
+using PacketPtr = std::unique_ptr<Packet, PacketRecycler>;
+
 class Packet {
 public:
+    /// Most crossbars one request may cross before its response returns.
+    static constexpr unsigned kMaxHops = 4;
+
+    /// One crossbar crossing: the upstream port the request came in on and
+    /// the tick the crossbar accepted it.
+    struct Hop {
+        Tick acceptTick;
+        unsigned upPort;
+    };
+
+    /// The one timing-packet factory: a recycled packet when the thread's
+    /// free list has one, a new one otherwise. Either way every field reads
+    /// as on a freshly constructed packet, with the next packet id.
+    static PacketPtr make(MemCmd cmd, Addr addr, unsigned size);
+
+    /// Stack-allocated packets serve functional (zero-time) accesses only.
     Packet(MemCmd cmd, Addr addr, unsigned size)
         : cmd_(cmd), addr_(addr), size_(size), id_(nextId()) {}
-
-    ~Packet() {
-        // Flow-tracked packets close their trace flow when the requester
-        // finally destroys them. Flag check first: untracked packets (the
-        // universe, when observability is off) pay only this one branch.
-        if (flowTracked_) {
-            if (SimObserver* obs = threadPacketObserver()) obs->packetCompleted(id_);
-        }
-    }
 
     // --- identity ----------------------------------------------------------
     MemCmd cmd() const { return cmd_; }
@@ -145,6 +172,30 @@ public:
     bool flowTracked() const { return flowTracked_; }
     void setFlowTracked(bool tracked) { flowTracked_ = tracked; }
 
+    // --- round-trip state --------------------------------------------------
+    /// Crossbar hops this request crossed and its response has yet to
+    /// retrace, innermost on top.
+    unsigned numHops() const { return numHops_; }
+    /// Push a hop; false (and no change) when kMaxHops are already held.
+    bool pushHop(unsigned upPort, Tick acceptTick) {
+        if (numHops_ == kMaxHops) return false;
+        hops_[numHops_++] = Hop{acceptTick, upPort};
+        return true;
+    }
+    const Hop& topHop() const {
+        simAssert(numHops_ != 0, "topHop() on a packet with no hop");
+        return hops_[numHops_ - 1];
+    }
+    void popHop() {
+        simAssert(numHops_ != 0, "popHop() on a packet with no hop");
+        --numHops_;
+    }
+
+    /// Opaque to everyone but the packet's maker, who may keep one word of
+    /// its own book-keeping here (0 on a new packet).
+    std::uint64_t senderTag() const { return senderTag_; }
+    void setSenderTag(std::uint64_t tag) { senderTag_ = tag; }
+
     std::string toString() const;
 
 private:
@@ -152,6 +203,10 @@ private:
     // Simulation::run()), so a run's ID stream is deterministic no matter
     // how many simulations share the process. See sim/packet_id.hh.
     static std::uint64_t nextId() { return nextPacketId(); }
+
+    /// Make a released packet read as Packet(cmd, addr, size), keeping the
+    /// payload's storage.
+    void reset(MemCmd cmd, Addr addr, unsigned size);
 
     MemCmd cmd_;
     Addr addr_;
@@ -161,17 +216,18 @@ private:
     ReqId reqId_ = 0;
     bool flowTracked_ = false;
     Tick issueTick_ = 0;
+    unsigned numHops_ = 0;
+    std::array<Hop, kMaxHops> hops_{};
+    std::uint64_t senderTag_ = 0;
     std::vector<std::uint8_t> data_;
 };
 
-using PacketPtr = std::unique_ptr<Packet>;
-
 inline PacketPtr makeReadPacket(Addr addr, unsigned size) {
-    return std::make_unique<Packet>(MemCmd::kReadReq, addr, size);
+    return Packet::make(MemCmd::kReadReq, addr, size);
 }
 
 inline PacketPtr makeWritePacket(Addr addr, unsigned size) {
-    auto pkt = std::make_unique<Packet>(MemCmd::kWriteReq, addr, size);
+    auto pkt = Packet::make(MemCmd::kWriteReq, addr, size);
     pkt->allocate();
     return pkt;
 }

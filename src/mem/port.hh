@@ -1,7 +1,9 @@
 // Timing ports: the gem5-style point-to-point request/response protocol.
 //
 // A RequestPort (CPU/requester side) binds to exactly one ResponsePort
-// (memory/responder side). Communication is by moving Packet ownership:
+// (memory/responder side). Communication is by moving Packet ownership; the
+// last owner releases the PacketPtr, which returns the packet to that
+// thread's free list for the next Packet::make (mem/packet.hh):
 //
 //   * sendTimingReq(pkt): the requester offers a request. If the responder
 //     accepts (returns true) the unique_ptr is moved from; if it rejects,

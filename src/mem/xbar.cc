@@ -89,8 +89,7 @@ unsigned Xbar::route(Addr addr) const {
     panicStream(strCat("xbar ", name(), ": no route for address 0x", std::hex, addr));
 }
 
-void Xbar::acceptIntoLayer(Layer& layer, PacketPtr& pkt, unsigned srcIdx,
-                           CallbackEvent& deliverEvent) {
+void Xbar::acceptIntoLayer(Layer& layer, PacketPtr& pkt, CallbackEvent& deliverEvent) {
     // Only payload occupies the datapath: write requests and read responses
     // carry data; read requests and write acks are a single header beat.
     const bool carriesData = (pkt->isWrite() && pkt->isRequest()) ||
@@ -100,7 +99,6 @@ void Xbar::acceptIntoLayer(Layer& layer, PacketPtr& pkt, unsigned srcIdx,
         std::max<Cycles>(1, (payload + params_.widthBytes - 1) / params_.widthBytes);
     layer.busy = true;
     layer.waitingPeer = false;
-    layer.srcIdx = srcIdx;
     layer.acceptTick = curTick();
     // Header latency is pipelined; the layer is occupied for the beats only.
     layer.freeTick = clockEdge(beats);
@@ -126,8 +124,14 @@ bool Xbar::handleReq(unsigned srcUp, PacketPtr& pkt) {
         refuse(layer, srcUp);
         return false;
     }
+    // The hop is the response's way back: this port, and the accept tick
+    // its round-trip latency is measured from.
+    if (pkt->needsResponse() && !pkt->pushHop(srcUp, curTick())) {
+        panicStream(strCat("xbar ", name(), ": request crosses more than ", Packet::kMaxHops,
+                           " crossbars"));
+    }
     ++reqsRouted_;
-    acceptIntoLayer(layer, pkt, srcUp, *layer.deliverEvent);
+    acceptIntoLayer(layer, pkt, *layer.deliverEvent);
     return true;
 }
 
@@ -135,15 +139,12 @@ void Xbar::deliverReq(unsigned dstDown) {
     Layer& layer = reqLayers_[dstDown];
     if (!layer.busy || layer.pkt == nullptr) return;
 
-    const bool wantsRoute = layer.pkt->needsResponse();
-    const std::uint64_t id = layer.pkt->id();
     const ReqId reqId = layer.pkt->reqId();
     const Tick acceptTick = layer.acceptTick;
     if (!downPorts_[dstDown]->sendTimingReq(layer.pkt)) {
         layer.waitingPeer = true;  // Peer will recvReqRetry -> deliverReq again.
         return;
     }
-    if (wantsRoute) respRoute_[id] = RouteInfo{layer.srcIdx, layer.acceptTick};
     // Ticks between layer acceptance and the downstream peer taking the
     // packet are crossbar queueing, blamed on the packet's request.
     if (reqId != 0 && curTick() > acceptTick) {
@@ -173,20 +174,19 @@ void Xbar::finishReqLayer(unsigned dstDown) {
 // ---------------------------------------------------------- response path --
 
 bool Xbar::handleResp(unsigned srcDown, PacketPtr& pkt) {
-    const auto it = respRoute_.find(pkt->id());
-    simAssert(it != respRoute_.end(), "response with no recorded route");
-    const unsigned dstUp = it->second.up;
+    simAssert(pkt->numHops() != 0, "response with no recorded route");
+    const Packet::Hop& hop = pkt->topHop();
+    const unsigned dstUp = hop.upPort;
 
     Layer& layer = respLayers_[dstUp];
     if (layer.busy) {
         refuse(layer, srcDown);
         return false;
     }
-    const Tick rtt = curTick() - it->second.issued;
-    latencyHist_[dstUp]->sampleInt(rtt);
-    respRoute_.erase(it);
+    latencyHist_[dstUp]->sampleInt(curTick() - hop.acceptTick);
+    pkt->popHop();
     ++respsRouted_;
-    acceptIntoLayer(layer, pkt, srcDown, *layer.deliverEvent);
+    acceptIntoLayer(layer, pkt, *layer.deliverEvent);
     return true;
 }
 

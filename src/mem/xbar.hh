@@ -3,9 +3,11 @@
 // N CPU-side (upstream) ports and M mem-side (downstream) ports. Requests are
 // routed by address range — optionally bit-interleaved, which is how the
 // 8-bank LLC is striped — and responses are routed back to their original
-// source port via the packet id. Each output direction is guarded by a
-// "layer" that models the switch occupancy: header latency plus one cycle
-// per 128-bit beat, with gem5-style retry lists when a layer is busy. A
+// source port by the hop the crossbar pushed onto the packet's route stack
+// when it accepted the request (mem/packet.hh). Each output direction is
+// guarded by a "layer" that models the switch occupancy: header latency
+// plus one cycle per 128-bit beat, with gem5-style retry lists when a
+// layer is busy. A
 // released request layer wakes all its waiters; a released response layer
 // wakes them in order only until one re-occupies it (port.hh's
 // response-retry contract).
@@ -17,7 +19,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/addr_range.hh"
@@ -82,21 +83,12 @@ private:
         Tick freeTick = 0;
         Tick acceptTick = 0;  ///< When the occupying packet was accepted.
         PacketPtr pkt;
-        unsigned srcIdx = 0;  ///< Where the packet came from (for routing back).
         std::vector<unsigned> retryList;
         /// Storage for the next retryList: a release wakes the old list and
         /// parks its emptied storage here, so no release allocates.
         std::vector<unsigned> spareList;
         std::unique_ptr<CallbackEvent> deliverEvent;
         std::unique_ptr<CallbackEvent> freeEvent;
-    };
-
-    /// Book-keeping for an outstanding request: where its response must be
-    /// switched back to, and when the crossbar accepted the request (the
-    /// zero point of the per-requestor round-trip latency histogram).
-    struct RouteInfo {
-        unsigned up;
-        Tick issued;
     };
 
     unsigned route(Addr addr) const;
@@ -116,8 +108,7 @@ private:
     void refuse(Layer& layer, unsigned srcIdx);
 
     /// Occupy @p layer with @p pkt and schedule its delivery.
-    void acceptIntoLayer(Layer& layer, PacketPtr& pkt, unsigned srcIdx,
-                         CallbackEvent& deliverEvent);
+    void acceptIntoLayer(Layer& layer, PacketPtr& pkt, CallbackEvent& deliverEvent);
 
     Params params_;
     std::vector<std::unique_ptr<UpPort>> upPorts_;
@@ -125,7 +116,6 @@ private:
     std::vector<RouteSpec> routes_;
     std::vector<Layer> reqLayers_;   ///< One per downstream port.
     std::vector<Layer> respLayers_;  ///< One per upstream port.
-    std::unordered_map<std::uint64_t, RouteInfo> respRoute_;  ///< pkt id -> route.
 
     stats::Scalar& reqsRouted_;
     stats::Scalar& respsRouted_;

@@ -780,5 +780,29 @@ TEST(RtlObjectRetryFuzz, FlakyMemoryPathLosesNothingGatedOrUngated) {
     EXPECT_GT(gated.rtl->gatedTicks(), 0u);
 }
 
+// ------------------------------------------------------- response ownership --
+
+TEST(RtlObjectDeathTest, ResponseTheBridgeDidNotIssuePanics) {
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    class Memory final : public ResponsePort {
+    public:
+        using ResponsePort::ResponsePort;
+        bool recvTimingReq(PacketPtr&) override { return false; }
+        void recvFunctional(Packet&) override {}
+        void recvRespRetry() override {}
+    };
+    EXPECT_DEATH(
+        {
+            PmuHarness h;
+            Memory mem{"mem"};
+            h.rtl->memSidePort(0).bind(mem);
+            // Made elsewhere: no bridge requestor id, no model request id.
+            PacketPtr stray = makeReadPacket(0x40, 8);
+            stray->makeResponse();
+            mem.sendTimingResp(stray);
+        },
+        "memory response the bridge did not issue");
+}
+
 }  // namespace
 }  // namespace g5r

@@ -166,7 +166,7 @@ TEST(Dram, MixedTrafficTriggersBusTurnarounds) {
 
 TEST(Dram, WritebacksAreAbsorbed) {
     Harness h{MemTech::kDdr4_1ch};
-    auto wb = std::make_unique<Packet>(MemCmd::kWritebackDirty, 0x4000, 64);
+    auto wb = Packet::make(MemCmd::kWritebackDirty, 0x4000, 64);
     wb->set<std::uint64_t>(1234);
     h.req.issueAt(0, std::move(wb));
     h.sim.run();

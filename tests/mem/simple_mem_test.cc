@@ -52,7 +52,7 @@ TEST(SimpleMem, WriteUpdatesStoreAndResponds) {
 
 TEST(SimpleMem, WritebackIsAbsorbedWithoutResponse) {
     Harness h;
-    auto wb = std::make_unique<Packet>(MemCmd::kWritebackDirty, 0x300, 8);
+    auto wb = Packet::make(MemCmd::kWritebackDirty, 0x300, 8);
     wb->set<std::uint64_t>(555);
     h.req.issueAt(0, std::move(wb));
     h.sim.run();

@@ -229,7 +229,7 @@ TEST(Spm, BackPressureRetriesAndCompletes) {
 
 TEST(Spm, WritebacksAreAbsorbed) {
     Harness h;
-    auto wb = std::make_unique<Packet>(MemCmd::kWritebackDirty, 0x5000, 64);
+    auto wb = Packet::make(MemCmd::kWritebackDirty, 0x5000, 64);
     wb->set<std::uint64_t>(4321);
     h.req.issueAt(0, std::move(wb));
     h.req.issueAt(10'000, makeReadPacket(0x5000, 64));

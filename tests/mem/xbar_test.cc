@@ -1,9 +1,10 @@
-// Crossbar: routing (plain and interleaved), response return paths, layer
-// contention/retries, the response-layer wake order, latency, and
-// functional access.
+// Crossbar: routing (plain and interleaved), response return paths through
+// chained crossbars (the packet's hop stack), layer contention/retries, the
+// response-layer wake order, latency, and functional access.
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -130,7 +131,7 @@ TEST(Xbar, FunctionalRoutesToTheRightEndpoint) {
 
 TEST(Xbar, WritebacksRouteWithoutResponse) {
     Harness h;
-    auto wb = std::make_unique<Packet>(MemCmd::kWritebackDirty, 0x300, 64);
+    auto wb = Packet::make(MemCmd::kWritebackDirty, 0x300, 64);
     wb->set<std::uint64_t>(55);
     h.reqA->issueAt(0, std::move(wb));
     h.sim.run();
@@ -254,6 +255,158 @@ TEST(Xbar, ResponseWakeOrderIsPinned) {
         buckets.emplace_back(low, n);
     });
     EXPECT_EQ(buckets, Buckets(std::begin(kPinnedLatencyBuckets), std::end(kPinnedLatencyBuckets)));
+}
+
+// A memory-side endpoint that answers nothing on its own: a test hands it
+// responses to inject toward the crossbar.
+class Injector final : public ResponsePort {
+public:
+    using ResponsePort::ResponsePort;
+    bool recvTimingReq(PacketPtr& pkt) override {
+        requests.push_back(std::move(pkt));
+        return true;
+    }
+    void recvFunctional(Packet&) override {}
+    void recvRespRetry() override {}
+
+    std::vector<PacketPtr> requests;
+};
+
+TEST(Xbar, ChainedCrossbarsRouteOutOfOrderResponsesHome) {
+    // The SoC's noc -> membus shape: two requesters on the first crossbar,
+    // whose one downstream port feeds the second; the second stripes a slow
+    // and a fast memory. Requests are spaced so no layer ever contends.
+    Simulation sim;
+    BackingStore store;
+    Xbar noc{sim, "noc", {}};
+    Xbar membus{sim, "membus", {}};
+    TestRequester reqA{sim, "reqA"};
+    TestRequester reqB{sim, "reqB"};
+    constexpr Tick kSlow = 20'000;
+    constexpr Tick kFast = 2'000;
+    SimpleMemory::Params mp;
+    mp.range = AddrRange{0, 1ULL << 20};
+    mp.latency = kSlow;
+    SimpleMemory slow{sim, "slow", mp, store};
+    mp.range = AddrRange{1ULL << 20, 2ULL << 20};
+    mp.latency = kFast;
+    SimpleMemory fast{sim, "fast", mp, store};
+
+    reqA.port().bind(noc.addCpuSidePort("a"));
+    reqB.port().bind(noc.addCpuSidePort("b"));
+    noc.addMemSidePort("membus", RouteSpec{AddrRange{0, 2ULL << 20}})
+        .bind(membus.addCpuSidePort("noc"));
+    membus.addMemSidePort("slow", RouteSpec{slow.range()}).bind(slow.port());
+    membus.addMemSidePort("fast", RouteSpec{fast.range()}).bind(fast.port());
+
+    // At 2 GHz each crossing costs a 1000-tick header. A request issued at
+    // T reaches membus at T+1000 and memory at T+2000; memory answers at
+    // T+2000+L, noc takes the response at T+3000+L and the requester at
+    // T+4000+L. So membus measures L+1000 and noc L+3000.
+    struct Issue {
+        TestRequester* req;
+        Tick at;
+        Addr addr;
+        Tick latency;
+    };
+    const Issue issues[] = {
+        {&reqA, 0, 0x100, kSlow},
+        {&reqB, 5'000, (1ULL << 20) + 0x200, kFast},
+        {&reqB, 10'000, 0x300, kSlow},
+        {&reqA, 15'000, (1ULL << 20) + 0x400, kFast},
+    };
+    std::vector<std::uint64_t> idsA;
+    std::vector<std::uint64_t> idsB;
+    stats::HistogramData expectA;
+    stats::HistogramData expectB;
+    stats::HistogramData expectMembus;
+    std::vector<Tick> arrivalsA;
+    std::vector<Tick> arrivalsB;
+    for (const Issue& is : issues) {
+        PacketPtr pkt = makeReadPacket(is.addr, 8);
+        const bool toA = is.req == &reqA;
+        (toA ? idsA : idsB).push_back(pkt->id());
+        (toA ? expectA : expectB).sampleInt(is.latency + 3'000);
+        (toA ? arrivalsA : arrivalsB).push_back(is.at + is.latency + 4'000);
+        expectMembus.sampleInt(is.latency + 1'000);
+        is.req->issueAt(is.at, std::move(pkt));
+    }
+    sim.run();
+
+    // Out of order: each requester's fast read overtakes its slow one
+    // (reqA's) or the other requester's (reqB's).
+    ASSERT_EQ(reqA.numResponses(), 2u);
+    ASSERT_EQ(reqB.numResponses(), 2u);
+    EXPECT_EQ(reqA.responses()[0].pkt->id(), idsA[1]);
+    EXPECT_EQ(reqA.responses()[1].pkt->id(), idsA[0]);
+    EXPECT_EQ(reqB.responses()[0].pkt->id(), idsB[0]);
+    EXPECT_EQ(reqB.responses()[1].pkt->id(), idsB[1]);
+    EXPECT_EQ(reqA.responses()[0].tick, arrivalsA[1]);
+    EXPECT_EQ(reqA.responses()[1].tick, arrivalsA[0]);
+    EXPECT_EQ(reqB.responses()[0].tick, arrivalsB[0]);
+    EXPECT_EQ(reqB.responses()[1].tick, arrivalsB[1]);
+    for (const auto* req : {&reqA, &reqB}) {
+        for (const auto& r : req->responses()) EXPECT_EQ(r.pkt->numHops(), 0u);
+    }
+    EXPECT_EQ(sim.findStat("noc.layerConflicts")->value(), 0.0);
+    EXPECT_EQ(sim.findStat("membus.layerConflicts")->value(), 0.0);
+
+    const auto histData = [&sim](const std::string& stat) {
+        const auto* hist = dynamic_cast<const stats::Histogram*>(sim.findStat(stat));
+        EXPECT_NE(hist, nullptr) << stat;
+        return hist != nullptr ? hist->data() : stats::HistogramData{};
+    };
+    EXPECT_TRUE(histData("noc.latencyHist.a") == expectA);
+    EXPECT_TRUE(histData("noc.latencyHist.b") == expectB);
+    EXPECT_TRUE(histData("membus.latencyHist.noc") == expectMembus);
+}
+
+/// Hand the crossbar a response to a request that never crossed it.
+void respondWithNoHop() {
+    Simulation sim;
+    Xbar xbar{sim, "xbar", {}};
+    TestRequester req{sim, "req"};
+    Injector mem{"mem"};
+    req.port().bind(xbar.addCpuSidePort("req"));
+    xbar.addMemSidePort("mem", RouteSpec{AddrRange{0, 1ULL << 20}}).bind(mem);
+    PacketPtr stray = makeReadPacket(0x40, 8);
+    stray->makeResponse();
+    mem.sendTimingResp(stray);
+}
+
+/// Send a read through one more chained crossbar than a packet has hops.
+void crossTooManyCrossbars() {
+    Simulation sim;
+    BackingStore store;
+    const AddrRange all{0, 1ULL << 20};
+    std::vector<std::unique_ptr<Xbar>> chain;
+    TestRequester req{sim, "req"};
+    for (unsigned i = 0; i <= Packet::kMaxHops; ++i) {
+        chain.push_back(std::make_unique<Xbar>(sim, strCat("x", i), Xbar::Params{}));
+        if (i == 0) {
+            req.port().bind(chain[0]->addCpuSidePort("req"));
+        } else {
+            chain[i - 1]->addMemSidePort("down", RouteSpec{all})
+                .bind(chain[i]->addCpuSidePort("up"));
+        }
+    }
+    SimpleMemory::Params mp;
+    mp.range = all;
+    SimpleMemory mem{sim, "mem", mp, store};
+    chain.back()->addMemSidePort("mem", RouteSpec{all}).bind(mem.port());
+    req.issueAt(0, makeReadPacket(0x40, 8));
+    sim.run();
+}
+
+TEST(XbarDeathTest, ResponseWithNoHopPanics) {
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(respondWithNoHop(), "response with no recorded route");
+}
+
+TEST(XbarDeathTest, MoreNestedCrossbarsThanHopsPanicsNamingTheCrossbar) {
+    static_assert(Packet::kMaxHops == 4, "the message below names x4");
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(crossTooManyCrossbars(), "xbar x4: request crosses more than 4 crossbars");
 }
 
 }  // namespace

@@ -69,7 +69,7 @@ TEST(XbarLatency, DistributionCountsEveryRoundTrip) {
 
 TEST(XbarLatency, WritebacksDoNotSampleLatency) {
     Harness h;
-    auto wb = std::make_unique<Packet>(MemCmd::kWritebackDirty, 0x100, 64);
+    auto wb = Packet::make(MemCmd::kWritebackDirty, 0x100, 64);
     h.reqA->issueAt(0, std::move(wb));
     h.sim.run();
     const auto* hist = latencyHist(h, "xbar.latencyHist.a");
